@@ -31,20 +31,23 @@ bench-throughput:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe throughput
 
-# One-stop pre-commit gate: build everything, run the test suite (plus
-# the fault-injection/reliability suites, the golden-trace equivalence
-# check pinning Runner/Federation to the engine byte-for-byte, and the
-# engine, selfmaint and evolution suites, all explicitly, so a filtered
-# or cached runtest can never silently skip them), check that the
-# parallel
-# bench is deterministic (PAR=1 and PAR=4 emit identical runs arrays),
-# run the quick benchmark, and fail if its summed per-run wall clock
-# regressed more than 2x against the committed BENCH_results.json
-# baseline. The baseline is copied aside first because the bench
-# overwrites it in place.
+# One-stop pre-commit gate: build everything, run the test suite
+# sequentially (PAR=1) and over two worker domains (PAR=2), so the seed
+# sweeps are exercised on both paths (--force: the second run must not
+# be served from dune's cache), plus the fault-injection/reliability
+# suites, the golden-trace suite pinning Engine.run's single- and
+# multi-source output byte-for-byte, and the engine, selfmaint and
+# evolution suites, all explicitly, so a filtered or cached runtest can
+# never silently skip them. Then check that the parallel bench is
+# deterministic (PAR=1 and PAR=4 emit identical runs arrays), run the
+# quick benchmark, and fail if its summed per-run wall clock regressed
+# more than 2x against the committed BENCH_results.json baseline. The
+# baseline is copied aside first because the bench overwrites it in
+# place.
 smoke:
 	dune build @all
-	dune runtest
+	PAR=1 dune runtest --force
+	PAR=2 dune runtest --force
 	dune exec test/main.exe -- test faults
 	dune exec test/main.exe -- test reliable
 	dune exec test/main.exe -- test observe

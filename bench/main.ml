@@ -23,6 +23,27 @@ module W = Workload
 let params = CM.Params.default
 let s_bytes = params.CM.Params.s
 
+(* The one-source site graph of the single-source figures. *)
+let source_site ?catalog db = Core.Engine.site ?catalog ~name:"source" db
+
+let defs views = List.map R.Viewdef.simple views
+
+(* One site per [(name, catalog, db)] source. Edge [i] seeds its fault
+   RNG from [fault_seed + 2i] (a channel pair takes two seeds), so the
+   edges fail independently. *)
+let fed_sites ?fault ?(fault_seed = 0) ?reliable sources =
+  List.mapi
+    (fun i (name, catalog, db) ->
+      Core.Engine.site ?catalog ?fault ~fault_seed:(fault_seed + (2 * i))
+        ?reliable ~name db)
+    sources
+
+(* A collector when [observe] is set: the engine runs its span layer only
+   when handed one. Callers create it inside their timed region, so the
+   observed leg pays for its own collector. *)
+let collector observe =
+  if observe then Some (Observe.Collector.create ()) else None
+
 (* ------------------------------------------------------------------ *)
 (* Parallelism knob                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -84,8 +105,8 @@ let header title =
   Printf.printf "\n================ %s ================\n" title
 
 let schedule_label = function
-  | Core.Scheduler.Best_case | Core.Scheduler.Drain_first -> "[best]"
-  | Core.Scheduler.Worst_case | Core.Scheduler.Updates_first -> "[worst]"
+  | Core.Scheduler.Best_case -> "[best]"
+  | Core.Scheduler.Worst_case -> "[worst]"
   | Core.Scheduler.Round_robin -> "[rr]"
   | Core.Scheduler.Random seed -> Printf.sprintf "[rand=%d]" seed
   | Core.Scheduler.Explicit _ -> "[explicit]"
@@ -321,13 +342,13 @@ let exec_example6 ?(scenario = 1) ?(schedule = Core.Scheduler.Best_case)
   in
   let t0 = Unix.gettimeofday () in
   let result =
-    Core.Runner.run ~catalog ~schedule ?rv_period
+    Core.Engine.run ~schedule ?rv_period
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site ~catalog db ] ~views:(defs [ view ]) ~updates ()
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let m = result.Core.Runner.metrics in
-  let report = List.assoc "V" result.Core.Runner.reports in
+  let m = result.Core.Engine.metrics in
+  let report = List.assoc "V" result.Core.Engine.reports in
   {
     x_label = algo_label ?rv_period ~schedule algorithm;
     x_algorithm = algorithm;
@@ -633,12 +654,12 @@ let run_keyed ~algorithm ~schedule ?(insert_ratio = 0.5) k =
   let { W.Scenarios.db; view; updates } = W.Scenarios.keyed spec in
   let t0 = Unix.gettimeofday () in
   let result =
-    Core.Runner.run ~schedule
+    Core.Engine.run ~schedule
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let m = result.Core.Runner.metrics in
+  let m = result.Core.Engine.metrics in
   record
     ~algorithm:(algo_label ~schedule algorithm)
     ~wall_s
@@ -731,12 +752,12 @@ let ablation_literal_eval () =
       let { W.Scenarios.db; view; updates } = W.Scenarios.example6 spec in
       let tuples local_literal_eval =
         let r =
-          Core.Runner.run ~schedule:Core.Scheduler.Worst_case
+          Core.Engine.run ~schedule:Core.Scheduler.Worst_case
             ~local_literal_eval
             ~creator:(Core.Registry.creator_exn "eca")
-            ~views:[ view ] ~db ~updates ()
+            ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
         in
-        r.Core.Runner.metrics.Core.Metrics.answer_tuples
+        r.Core.Engine.metrics.Core.Metrics.answer_tuples
       in
       Printf.printf "%4d %14d %14d\n" k (tuples true) (tuples false))
     [ 10; 30; 60 ]
@@ -750,12 +771,12 @@ let ablation_batching () =
   List.iter
     (fun batch_size ->
       let r =
-        Core.Runner.run ~schedule:Core.Scheduler.Best_case ~batch_size
+        Core.Engine.run ~schedule:Core.Scheduler.Best_case ~batch_size
           ~creator:(Core.Registry.creator_exn "eca")
-          ~views:[ view ] ~db ~updates ()
+          ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
       in
-      let m = r.Core.Runner.metrics in
-      let lag = Core.Staleness.of_trace r.Core.Runner.trace "V" in
+      let m = r.Core.Engine.metrics in
+      let lag = Core.Staleness.of_trace r.Core.Engine.trace "V" in
       Printf.printf "%6d %10d %10d %10d %10.2f %8d\n" batch_size
         (Core.Metrics.messages m)
         m.Core.Metrics.answer_tuples m.Core.Metrics.source_io
@@ -771,13 +792,13 @@ let ablation_timing () =
   List.iter
     (fun (label, mode) ->
       let r =
-        Core.Runner.run ~schedule:Core.Scheduler.Best_case
+        Core.Engine.run ~schedule:Core.Scheduler.Best_case
           ~creator:
             (Core.Timing.creator mode (Core.Registry.creator_exn "eca"))
-          ~views:[ view ] ~db ~updates ()
+          ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
       in
-      let m = r.Core.Runner.metrics in
-      let lag = Core.Staleness.of_trace r.Core.Runner.trace "V" in
+      let m = r.Core.Engine.metrics in
+      let lag = Core.Staleness.of_trace r.Core.Engine.trace "V" in
       Printf.printf "%-12s %10d %10d %10d %10.2f %8d\n" label
         (Core.Metrics.messages m)
         m.Core.Metrics.answer_tuples m.Core.Metrics.source_io
@@ -815,11 +836,11 @@ let ablation_scan_sharing () =
             ~indexes:Storage.Catalog.example6_indexes ~share_scans ()
         in
         let r =
-          Core.Runner.run_defs ~catalog ~schedule ?rv_period
+          Core.Engine.run ~schedule ?rv_period
             ~creator:(Core.Registry.creator_exn algorithm)
-            ~views ~db ~updates ()
+            ~views ~sites:[ source_site ~catalog db ] ~updates ()
         in
-        r.Core.Runner.metrics.Core.Metrics.source_io
+        r.Core.Engine.metrics.Core.Metrics.source_io
       in
       let independent = io false and shared = io true in
       Printf.printf "%-26s %14d %14d %7.0f%%\n" label independent shared
@@ -845,11 +866,11 @@ let ablation_skew () =
       let { W.Scenarios.db; view; updates } = W.Scenarios.example6 spec in
       let tuples ~rv_period algorithm schedule =
         let r =
-          Core.Runner.run ~schedule ~rv_period
+          Core.Engine.run ~schedule ~rv_period
             ~creator:(Core.Registry.creator_exn algorithm)
-            ~views:[ view ] ~db ~updates ()
+            ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
         in
-        r.Core.Runner.metrics.Core.Metrics.answer_tuples
+        r.Core.Engine.metrics.Core.Metrics.answer_tuples
       in
       let eca = tuples ~rv_period:1 "eca" Core.Scheduler.Worst_case in
       let rv = tuples ~rv_period:30 "rv" Core.Scheduler.Best_case in
@@ -874,15 +895,16 @@ let ablation_reliability () =
   let exec_cell (name, fault, reliable) =
     let t0 = Unix.gettimeofday () in
     let result =
-      Core.Runner.run
+      Core.Engine.run
         ~schedule:(Core.Scheduler.Random 11)
-        ~fault ~fault_seed:23 ~reliable
         ~creator:(Core.Registry.creator_exn "eca")
-        ~views:[ view ] ~db ~updates ()
+        ~sites:
+          [ Core.Engine.site ~fault ~fault_seed:23 ~reliable ~name:"source" db ]
+        ~views:(defs [ view ]) ~updates ()
     in
     let wall_s = Unix.gettimeofday () -. t0 in
-    let m = result.Core.Runner.metrics in
-    let ok = R.Bag.equal truth (List.assoc "V" result.Core.Runner.final_mvs) in
+    let m = result.Core.Engine.metrics in
+    let ok = R.Bag.equal truth (List.assoc "V" result.Core.Engine.final_mvs) in
     (name, reliable, wall_s, m, ok)
   in
   let matrix =
@@ -931,11 +953,16 @@ let ablation_observe () =
   let run ~observe () =
     let t0 = Unix.gettimeofday () in
     let r =
-      Core.Runner.run
+      Core.Engine.run
         ~schedule:(Core.Scheduler.Random 11)
-        ~fault:W.Scenarios.chaos_profile ~fault_seed:23 ~reliable:true ~observe
+        ?observe:(collector observe)
         ~creator:(Core.Registry.creator_exn "eca")
-        ~views:[ view ] ~db ~updates ()
+        ~sites:
+          [
+            Core.Engine.site ~fault:W.Scenarios.chaos_profile ~fault_seed:23
+              ~reliable:true ~name:"source" db;
+          ]
+        ~views:(defs [ view ]) ~updates ()
     in
     (Unix.gettimeofday () -. t0, r)
   in
@@ -946,8 +973,8 @@ let ablation_observe () =
   let scrubbed =
     {
       on with
-      Core.Runner.metrics =
-        { on.Core.Runner.metrics with Core.Metrics.observe = None };
+      Core.Engine.metrics =
+        { on.Core.Engine.metrics with Core.Metrics.observe = None };
     }
   in
   let identical =
@@ -961,8 +988,8 @@ let ablation_observe () =
   let t_off = best t_off (run ~observe:false) in
   let t_on = best t_on (run ~observe:true) in
   let overhead = t_on /. Float.max 1e-9 t_off in
-  let measured (r : Core.Runner.result) =
-    let m = r.Core.Runner.metrics in
+  let measured (r : Core.Engine.result) =
+    let m = r.Core.Engine.metrics in
     {
       m_messages = Core.Metrics.messages m;
       m_tuples = m.Core.Metrics.answer_tuples;
@@ -973,7 +1000,7 @@ let ablation_observe () =
   record ~algorithm:"eca[chaos/reliable/spans-off]" ~wall_s:t_off (measured off);
   record ~algorithm:"eca[chaos/reliable/spans-on]" ~wall_s:t_on (measured on);
   let o =
-    match on.Core.Runner.metrics.Core.Metrics.observe with
+    match on.Core.Engine.metrics.Core.Metrics.observe with
     | Some o -> o
     | None -> failwith "observed run produced no observe summary"
   in
@@ -1139,10 +1166,11 @@ let bench_throughput () =
       (fun () ->
         let t0 = Unix.gettimeofday () in
         let r =
-          Core.Runner.run ~schedule:Core.Scheduler.Best_case ~batch_size
-            ~observe
+          Core.Engine.run ~schedule:Core.Scheduler.Best_case ~batch_size
+            ?observe:(collector observe)
             ~creator:(Core.Registry.creator_exn algorithm)
-            ~views:[ e2e.W.Scenarios.view ] ~db:e2e.W.Scenarios.db
+            ~sites:[ source_site e2e.W.Scenarios.db ]
+            ~views:(defs [ e2e.W.Scenarios.view ])
             ~updates:e2e.W.Scenarios.updates ()
         in
         (Unix.gettimeofday () -. t0, r))
@@ -1154,8 +1182,8 @@ let bench_throughput () =
   let identical =
     String.equal (Core.Json_export.result r_int) (Core.Json_export.result r_cmp)
   in
-  let measured (r : Core.Runner.result) =
-    let m = r.Core.Runner.metrics in
+  let measured (r : Core.Engine.result) =
+    let m = r.Core.Engine.metrics in
     {
       m_messages = Core.Metrics.messages m;
       m_tuples = m.Core.Metrics.answer_tuples;
@@ -1168,8 +1196,8 @@ let bench_throughput () =
   (* Apply latency: note flight+handling per edge, in engine steps
      (deterministic). SC sends no queries, so its UQS histogram is empty;
      query residency comes from an observed ECA run instead. *)
-  let summary_of label (r : Core.Runner.result) =
-    match r.Core.Runner.metrics.Core.Metrics.observe with
+  let summary_of label (r : Core.Engine.result) =
+    match r.Core.Engine.metrics.Core.Metrics.observe with
     | Some o -> o
     | None -> failwith ("observed " ^ label ^ " run produced no summary")
   in
@@ -1266,18 +1294,18 @@ let ablation_compound_views () =
       List.iter
         (fun (algorithm, rv_period) ->
           let r =
-            Core.Runner.run_defs ~schedule:Core.Scheduler.Worst_case
+            Core.Engine.run ~schedule:Core.Scheduler.Worst_case
               ?rv_period
               ~creator:(Core.Registry.creator_exn algorithm)
-              ~views:[ vd ] ~db ~updates ()
+              ~sites:[ source_site db ] ~views:[ vd ] ~updates ()
           in
-          let m = r.Core.Runner.metrics in
+          let m = r.Core.Engine.metrics in
           Printf.printf "%-22s %10d %10d %10d %s\n"
             (label ^ "/" ^ algorithm)
             (Core.Metrics.messages m)
             m.Core.Metrics.answer_tuples m.Core.Metrics.source_io
             (Core.Consistency.strongest_label
-               (List.assoc "V" r.Core.Runner.reports)))
+               (List.assoc "V" r.Core.Engine.reports)))
         [ ("eca", None); ("lca", None); ("rv", Some 30) ])
     [ ("union", vd_union); ("difference", vd_diff) ]
 
@@ -1337,19 +1365,20 @@ let fed_workload () =
 let bench_federation () =
   header "Federation: ECA per view over 3 sources (Section 7; k=3x10)";
   let sources, views, updates = fed_workload () in
-  let exec_cell (label, policy, fault, reliable) =
+  let exec_cell (label, schedule, fault, reliable) =
     let t0 = Unix.gettimeofday () in
     let result =
-      Core.Federation.run ~policy ?fault ~fault_seed:17 ~reliable
+      Core.Engine.run ~schedule
         ~creator:(Core.Registry.creator_exn "eca")
-        ~sources ~views ~updates ()
+        ~sites:(fed_sites ?fault ~fault_seed:17 ~reliable sources)
+        ~views:(defs views) ~updates ()
     in
     (label, Unix.gettimeofday () -. t0, result)
   in
   let matrix =
     [
-      ("eca[fed/drain]", Core.Scheduler.Drain_first, None, false);
-      ("eca[fed/updates-first]", Core.Scheduler.Updates_first, None, false);
+      ("eca[fed/drain]", Core.Scheduler.Best_case, None, false);
+      ("eca[fed/updates-first]", Core.Scheduler.Worst_case, None, false);
       ("eca[fed/rr]", Core.Scheduler.Round_robin, None, false);
       ("eca[fed/rand=11]", Core.Scheduler.Random 11, None, false);
       ( "eca[fed/chaos/raw]",
@@ -1368,8 +1397,8 @@ let bench_federation () =
   Printf.printf "%-24s %8s %8s %8s %10s %6s %9s %s\n" "cell" "messages"
     "tuples" "IO" "wire msgs" "retx" "strong/3" "per-edge wire msgs";
   Array.iter
-    (fun (label, wall_s, (result : Core.Federation.result)) ->
-      let m = result.Core.Federation.metrics in
+    (fun (label, wall_s, (result : Core.Engine.result)) ->
+      let m = result.Core.Engine.metrics in
       let d = m.Core.Metrics.delivery in
       record ~delivery:d ~site_delivery:m.Core.Metrics.site_delivery
         ~algorithm:label ~wall_s
@@ -1383,7 +1412,7 @@ let bench_federation () =
         List.length
           (List.filter
              (fun (_, r) -> r.Core.Consistency.strongly_consistent)
-             result.Core.Federation.reports)
+             result.Core.Engine.reports)
       in
       Printf.printf "%-24s %8d %8d %8d %10d %6d %8d/3 %s\n" label
         (Core.Metrics.messages m)
@@ -1453,13 +1482,16 @@ let bench_catalog () =
   let run_cell ~share n =
     let t0 = Unix.gettimeofday () in
     let result =
-      Core.Runner.run_catalog ~schedule:Core.Scheduler.Worst_case
-        ~share_deltas:share ~entries:(entries n) ~db ~updates ()
+      let entries = entries n in
+      Core.Engine.run ~schedule:Core.Scheduler.Worst_case ~share_deltas:share
+        ~creator:(Core.Catalog.creator entries)
+        ~sites:[ source_site db ]
+        ~views:(Core.Catalog.views entries) ~updates ()
     in
     (Unix.gettimeofday () -. t0, result)
   in
-  let record_leg ~label ~wall_s (r : Core.Runner.result) =
-    let m = r.Core.Runner.metrics in
+  let record_leg ~label ~wall_s (r : Core.Engine.result) =
+    let m = r.Core.Engine.metrics in
     record ~algorithm:label ~wall_s
       {
         m_messages = Core.Metrics.messages m;
@@ -1479,22 +1511,22 @@ let bench_catalog () =
           ~wall_s:wall_off off;
         record_leg ~label:(Printf.sprintf "catalog[n=%d/shared]" n)
           ~wall_s:wall_on on_;
-        (match off.Core.Runner.metrics.Core.Metrics.shared with
+        (match off.Core.Engine.metrics.Core.Metrics.shared with
         | Some _ -> failwith "catalog: unshared run reported MQO counters"
         | None -> ());
         let sh =
-          match on_.Core.Runner.metrics.Core.Metrics.shared with
+          match on_.Core.Engine.metrics.Core.Metrics.shared with
           | Some sh -> sh
           | None -> failwith "catalog: shared run carries no MQO counters"
         in
         let identical =
           List.for_all
             (fun (name, mv) ->
-              R.Bag.equal mv (List.assoc name on_.Core.Runner.final_mvs))
-            off.Core.Runner.final_mvs
+              R.Bag.equal mv (List.assoc name on_.Core.Engine.final_mvs))
+            off.Core.Engine.final_mvs
         in
-        let q_off = off.Core.Runner.metrics.Core.Metrics.queries_sent in
-        let q_on = on_.Core.Runner.metrics.Core.Metrics.queries_sent in
+        let q_off = off.Core.Engine.metrics.Core.Metrics.queries_sent in
+        let q_on = on_.Core.Engine.metrics.Core.Metrics.queries_sent in
         let saved = q_off - q_on in
         Printf.printf "%-6d %13d %12d %7d %10d %7d %10s\n" n q_off q_on saved
           sh.Core.Metrics.shared_evaluated sh.Core.Metrics.shared_fanout
@@ -1546,14 +1578,18 @@ let bench_catalog () =
     failwith "catalog: auto_rung picked unexpected algorithm rungs";
   let t0 = Unix.gettimeofday () in
   let rung_run =
-    Core.Runner.run_catalog ~schedule:Core.Scheduler.Worst_case ~observe:true
-      ~entries:rung_entries ~db:kdb ~updates:kupdates ()
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
+      ~observe:(Observe.Collector.create ()) ~share_deltas:true
+      ~creator:(Core.Catalog.creator rung_entries)
+      ~sites:[ source_site kdb ]
+      ~views:(Core.Catalog.views rung_entries)
+      ~windows:(Core.Catalog.windows rung_entries) ~updates:kupdates ()
   in
   record_leg ~label:"catalog[rung-ladder/observed]"
     ~wall_s:(Unix.gettimeofday () -. t0)
     rung_run;
   let staleness =
-    match rung_run.Core.Runner.metrics.Core.Metrics.observe with
+    match rung_run.Core.Engine.metrics.Core.Metrics.observe with
     | Some o -> o.Core.Metrics.staleness
     | None -> failwith "catalog: observed rung run carries no gauges"
   in
@@ -1623,27 +1659,28 @@ let bench_catalog () =
      staleness 0 at every quiescence probe on all 10 views. *)
 let bench_scaling () =
   header "Scaling: N sources, O(active) loop, coalescing, backpressure";
-  let exec ?policy ?fault ?reliable ?coalesce ?(observe = false)
+  let exec ?schedule ?fault ?reliable ?coalesce ?observe
       ?(updates_per_source = 2) ?(skew = 0.0) ?(insert_ratio = 0.75)
       ?(c = 3) ?(seed = 42) ~n () =
     let w = W.Scenarios.scaled ~c ~updates_per_source ~insert_ratio ~skew ~seed ~n () in
     let t0 = Unix.gettimeofday () in
     let r =
-      Core.Federation.run ?policy ?fault ~fault_seed:5 ?reliable ?coalesce
-        ~observe ~shard:pool ~track_scale:true
+      Core.Engine.run ?schedule ?coalesce ?observe ~shard:pool
+        ~track_scale:true
         ~creator:(Core.Registry.creator_exn "eca")
-        ~sources:w.W.Scenarios.sources ~views:w.W.Scenarios.views
+        ~sites:(fed_sites ?fault ~fault_seed:5 ?reliable w.W.Scenarios.sources)
+        ~views:(defs w.W.Scenarios.views)
         ~updates:w.W.Scenarios.updates ()
     in
     (Unix.gettimeofday () -. t0, r)
   in
-  let scale_of (r : Core.Federation.result) =
-    match r.Core.Federation.metrics.Core.Metrics.scale with
+  let scale_of (r : Core.Engine.result) =
+    match r.Core.Engine.metrics.Core.Metrics.scale with
     | Some s -> s
     | None -> failwith "scaling: run carries no scale counters"
   in
   (* a gate cell is only admissible evidence if it is also correct *)
-  let check_exact_or_fail label (r : Core.Federation.result) =
+  let check_exact_or_fail label (r : Core.Engine.result) =
     List.iter
       (fun (view, rep) ->
         if not rep.Core.Consistency.strongly_consistent then
@@ -1651,19 +1688,19 @@ let bench_scaling () =
         if
           not
             (R.Bag.equal
-               (List.assoc view r.Core.Federation.final_source_views)
-               (List.assoc view r.Core.Federation.final_mvs))
+               (List.assoc view r.Core.Engine.final_source_views)
+               (List.assoc view r.Core.Engine.final_mvs))
         then failwith (label ^ ": " ^ view ^ " diverged from its source"))
-      r.Core.Federation.reports
+      r.Core.Engine.reports
   in
-  let strong_count (r : Core.Federation.result) =
+  let strong_count (r : Core.Engine.result) =
     List.length
       (List.filter
          (fun (_, rep) -> rep.Core.Consistency.strongly_consistent)
-         r.Core.Federation.reports)
+         r.Core.Engine.reports)
   in
-  let record_cell ~label ~wall_s (r : Core.Federation.result) =
-    let m = r.Core.Federation.metrics in
+  let record_cell ~label ~wall_s (r : Core.Engine.result) =
+    let m = r.Core.Engine.metrics in
     record ~delivery:m.Core.Metrics.delivery ~algorithm:label ~wall_s
       {
         m_messages = Core.Metrics.messages m;
@@ -1689,7 +1726,7 @@ let bench_scaling () =
                 let wall_s, r = exec ?fault ~reliable ~seed:(100 + n) ~n () in
                 record_cell ~label ~wall_s r;
                 let s = scale_of r in
-                let m = r.Core.Federation.metrics in
+                let m = r.Core.Engine.metrics in
                 let strong = strong_count r in
                 if String.equal pname "clean" && strong <> n then
                   failwith (label ^ ": a clean cell lost strong consistency");
@@ -1734,11 +1771,11 @@ let bench_scaling () =
   let identical =
     List.for_all
       (fun (name, mv) ->
-        R.Bag.equal mv (List.assoc name on_.Core.Federation.final_mvs))
-      off.Core.Federation.final_mvs
+        R.Bag.equal mv (List.assoc name on_.Core.Engine.final_mvs))
+      off.Core.Engine.final_mvs
   in
-  let wire (r : Core.Federation.result) =
-    r.Core.Federation.metrics.Core.Metrics.delivery.Core.Metrics.wire_messages
+  let wire (r : Core.Engine.result) =
+    r.Core.Engine.metrics.Core.Metrics.delivery.Core.Metrics.wire_messages
   in
   let coalesce_off_wire = wire off and coalesce_on_wire = wire on_ in
   let coalesced_batches = (scale_of on_).Core.Metrics.coalesced_batches in
@@ -1753,12 +1790,14 @@ let bench_scaling () =
   if coalesce_on_wire >= coalesce_off_wire then
     failwith "scaling: coalescing did not reduce shipped frames";
   (* --- backpressure and fairness on the hot workload --- *)
-  let hot ~policy () =
-    exec ~policy ~updates_per_source:6 ~skew:3.0 ~seed:7 ~n:6 ()
+  let hot ~schedule () =
+    exec ~schedule ~updates_per_source:6 ~skew:3.0 ~seed:7 ~n:6 ()
   in
-  let flood_wall, flood = hot ~policy:Core.Scheduler.Updates_first () in
-  let bounded_wall, bounded = hot ~policy:(Core.Scheduler.Bounded_inflight 4) () in
-  let wf_wall, wf = hot ~policy:(Core.Scheduler.Weighted_fair 2) () in
+  let flood_wall, flood = hot ~schedule:Core.Scheduler.Worst_case () in
+  let bounded_wall, bounded =
+    hot ~schedule:(Core.Scheduler.Bounded_inflight 4) ()
+  in
+  let wf_wall, wf = hot ~schedule:(Core.Scheduler.Weighted_fair 2) () in
   record_cell ~label:"eca[scale/hot/updates-first]" ~wall_s:flood_wall flood;
   record_cell ~label:"eca[scale/hot/inflight<=4]" ~wall_s:bounded_wall bounded;
   record_cell ~label:"eca[scale/hot/wf=2]" ~wall_s:wf_wall wf;
@@ -1772,9 +1811,11 @@ let bench_scaling () =
   if inflight bounded >= inflight flood then
     failwith "scaling: backpressure did not cap the hot edge's backlog";
   (* --- the ECA-rung staleness signature at scale, observed --- *)
-  let _, observed = exec ~observe:true ~seed:101 ~n:10 () in
+  let _, observed =
+    exec ~observe:(Observe.Collector.create ()) ~seed:101 ~n:10 ()
+  in
   let stale_quiesce_max =
-    match observed.Core.Federation.metrics.Core.Metrics.observe with
+    match observed.Core.Engine.metrics.Core.Metrics.observe with
     | None -> failwith "scaling: observed cell carries no gauges"
     | Some o ->
       List.fold_left
@@ -1789,7 +1830,7 @@ let bench_scaling () =
     String.concat ",\n      "
       (List.map
          (fun (n, pname, reliable, wall_s, r) ->
-           let m = r.Core.Federation.metrics in
+           let m = r.Core.Engine.metrics in
            let s = scale_of r in
            Printf.sprintf
              "{ \"n\": %d, \"profile\": \"%s\", \"channel\": \"%s\", \
@@ -1855,15 +1896,16 @@ let bench_selfmaint () =
   let exec_cell (algorithm, (pname, fault), reliable) =
     let t0 = Unix.gettimeofday () in
     let result =
-      Core.Runner.run
+      Core.Engine.run
         ~schedule:(Core.Scheduler.Random 11)
-        ~fault ~fault_seed:23 ~reliable
         ~creator:(Core.Registry.creator_exn algorithm)
-        ~views:[ view ] ~db ~updates ()
+        ~sites:
+          [ Core.Engine.site ~fault ~fault_seed:23 ~reliable ~name:"source" db ]
+        ~views:(defs [ view ]) ~updates ()
     in
     let wall_s = Unix.gettimeofday () -. t0 in
-    let m = result.Core.Runner.metrics in
-    let ok = R.Bag.equal truth (List.assoc "VS" result.Core.Runner.final_mvs) in
+    let m = result.Core.Engine.metrics in
+    let ok = R.Bag.equal truth (List.assoc "VS" result.Core.Engine.final_mvs) in
     (algorithm, pname, reliable, wall_s, m, ok)
   in
   (* SC replays the stream into a validating replica: on this keyed/FK
@@ -1949,14 +1991,15 @@ let bench_selfmaint () =
   | Some _ -> failwith "selfmaint: a plain ECA run reported selfmaint counters");
   (* Staleness at quiescence, observed on the eligible cell. *)
   let observed =
-    Core.Runner.run
+    Core.Engine.run
       ~schedule:(Core.Scheduler.Random 11)
-      ~observe:true
+      ~observe:(Observe.Collector.create ())
       ~creator:(Core.Registry.creator_exn "eca-sm")
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ]
+      ~views:(defs [ view ]) ~updates ()
   in
   let stale_quiesce_max =
-    match observed.Core.Runner.metrics.Core.Metrics.observe with
+    match observed.Core.Engine.metrics.Core.Metrics.observe with
     | None -> failwith "selfmaint: observed cell carries no gauges"
     | Some o ->
       List.fold_left
@@ -2058,15 +2101,17 @@ let bench_evolution () =
   let exec_cell ((pname, fault), reliable) =
     let t0 = Unix.gettimeofday () in
     let result =
-      Core.Runner.run
+      Core.Engine.run
         ~schedule:(Core.Scheduler.Random 13)
-        ~fault ~fault_seed:29 ~reliable ~evolution:ddls
+        ~evolution:ddls
         ~creator:(Core.Registry.creator_exn "eca")
-        ~views:[ view ] ~db ~updates ()
+        ~sites:
+          [ Core.Engine.site ~fault ~fault_seed:29 ~reliable ~name:"source" db ]
+        ~views:(defs [ view ]) ~updates ()
     in
     let wall_s = Unix.gettimeofday () -. t0 in
-    let m = result.Core.Runner.metrics in
-    let ok = R.Bag.equal truth (List.assoc "VK" result.Core.Runner.final_mvs) in
+    let m = result.Core.Engine.metrics in
+    let ok = R.Bag.equal truth (List.assoc "VK" result.Core.Engine.final_mvs) in
     (pname, reliable, wall_s, m, ok)
   in
   let matrix =
@@ -2123,11 +2168,11 @@ let bench_evolution () =
   in
   let window = { Core.Window.rel = "r2"; col = "Y"; k = 4 } in
   let wresult =
-    Core.Runner.run
+    Core.Engine.run
       ~schedule:(Core.Scheduler.Random 13)
       ~windows:[ ("VK", window) ]
       ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ wview ] ~db:wdb ~updates:wupdates ()
+      ~sites:[ source_site wdb ] ~views:(defs [ wview ]) ~updates:wupdates ()
   in
   let wvd = R.Viewdef.simple wview in
   let wst = Core.Window.make window wvd in
@@ -2138,10 +2183,10 @@ let bench_evolution () =
   in
   if
     not
-      (R.Bag.equal wtruth (List.assoc "VK" wresult.Core.Runner.final_mvs))
+      (R.Bag.equal wtruth (List.assoc "VK" wresult.Core.Engine.final_mvs))
   then failwith "evolution: the windowed run diverged from windowed recompute";
   let we =
-    match wresult.Core.Runner.metrics.Core.Metrics.evolution with
+    match wresult.Core.Engine.metrics.Core.Metrics.evolution with
     | Some e -> e
     | None -> failwith "evolution: windowed run carries no evolution metrics"
   in
@@ -2202,9 +2247,9 @@ let bechamel_section () =
   let { W.Scenarios.db; view; updates } = W.Scenarios.example6 spec in
   let run_algo ?rv_period algorithm schedule () =
     ignore
-      (Core.Runner.run ~schedule ?rv_period
+      (Core.Engine.run ~schedule ?rv_period
          ~creator:(Core.Registry.creator_exn algorithm)
-         ~views:[ view ] ~db ~updates ())
+         ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ())
   in
   let algo_tests =
     [

@@ -37,23 +37,24 @@ let () =
   List.iter (fun v -> Format.printf "%a@." R.View.pp v) views;
 
   let result =
-    Core.Runner.run ~schedule:(Core.Scheduler.Random 3)
+    Core.Engine.run ~schedule:(Core.Scheduler.Random 3)
       ~creator:(Core.Registry.creator_exn "eca")
-      ~views ~db ~updates ()
+      ~sites:[ Core.Engine.site ~name:"source" db ]
+      ~views:(List.map R.Viewdef.simple views) ~updates ()
   in
   Format.printf "@.%d updates, %d queries, %d messages total@."
-    result.Core.Runner.metrics.Core.Metrics.updates
-    result.Core.Runner.metrics.Core.Metrics.queries_sent
-    (Core.Metrics.messages result.Core.Runner.metrics);
+    result.Core.Engine.metrics.Core.Metrics.updates
+    result.Core.Engine.metrics.Core.Metrics.queries_sent
+    (Core.Metrics.messages result.Core.Engine.metrics);
   List.iter
     (fun (name, report) ->
-      let mv = List.assoc name result.Core.Runner.final_mvs in
-      let truth = List.assoc name result.Core.Runner.final_source_views in
+      let mv = List.assoc name result.Core.Engine.final_mvs in
+      let truth = List.assoc name result.Core.Engine.final_source_views in
       Format.printf "%-8s %4d tuples, matches source: %b, %s@." name
         (R.Bag.net_cardinality mv)
         (R.Bag.equal mv truth)
         (Core.Consistency.strongest_label report))
-    result.Core.Runner.reports;
+    result.Core.Engine.reports;
   Format.printf
     "@.Note: the single-relation view 'big_w' never queried the source -@.\
      its maintenance queries contain no base relation after substitution@.\

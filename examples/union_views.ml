@@ -47,16 +47,17 @@ let () =
   List.iter
     (fun algorithm ->
       let result =
-        Core.Runner.run_defs ~schedule:Core.Scheduler.Worst_case
+        Core.Engine.run ~schedule:Core.Scheduler.Worst_case
           ~creator:(Core.Registry.creator_exn algorithm)
-          ~views:[ view ] ~db ~updates:script.R.Script.updates ()
+          ~sites:[ Core.Engine.site ~name:"source" db ]
+          ~views:[ view ] ~updates:script.R.Script.updates ()
       in
-      let report = List.assoc "watchlist" result.Core.Runner.reports in
+      let report = List.assoc "watchlist" result.Core.Engine.reports in
       Format.printf "--- %s (all updates race the queries) ---@." algorithm;
       print_string
         (R.Render.table
            ~columns:(R.Viewdef.output_attr_names view)
-           (List.assoc "watchlist" result.Core.Runner.final_mvs));
+           (List.assoc "watchlist" result.Core.Engine.final_mvs));
       Format.printf "verdict: %s@.@."
         (Core.Consistency.strongest_label report))
     [ "basic"; "eca"; "lca" ];

@@ -82,7 +82,7 @@ type instance = {
   on_answer : id:int -> R.Bag.t -> outcome;  (** a [W_ans] event *)
   mv : unit -> R.Bag.t;  (** current materialized view *)
   on_quiesce : unit -> outcome;
-      (** called by the runner when the update stream is exhausted and no
+      (** called by the engine when the update stream is exhausted and no
           message is in flight; lets RV issue its final recompute. *)
   quiescent : unit -> bool;  (** no unanswered queries or buffered work *)
   counters : unit -> (string * int) list;

@@ -36,8 +36,9 @@ val views : entry list -> R.Viewdef.t list
 val algorithms : entry list -> (string * string) list
 
 val windows : entry list -> (string * Window.spec) list
-(** The windowed entries as [(view name, spec)] pairs — what
-    {!Runner.run_catalog} passes to {!Engine.run}'s [?windows]. *)
+(** The windowed entries as [(view name, spec)] pairs, for
+    {!Engine.run}'s [?windows]. A catalog run passes
+    [~creator:(creator es) ~views:(views es) ~windows:(windows es)]. *)
 
 val creator : entry list -> Algorithm.creator
 (** One creator dispatching on the view's name — what

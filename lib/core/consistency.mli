@@ -5,7 +5,7 @@
     source state initially and after each update event — and
     [warehouse_states] must be [MV at ws_0; …] — the materialized view
     initially and after each installation. Both sequences come from the
-    simulation runner's trace. States compare by bag equality. *)
+    simulation engine's trace. States compare by bag equality. *)
 
 module R := Relational
 

@@ -11,7 +11,7 @@ module R = Relational
    Strobe family of algorithms addresses). This module exists as the
    executable form of that caveat: the test suite shows it converging
    under quiescent interleavings and violating weak consistency under
-   racing ones, which is precisely why Federation rejects cross-source
+   racing ones, which is precisely why the engine rejects cross-source
    views unless the caller opts into this demonstrably unsafe strategy. *)
 
 type fetch = {

@@ -12,8 +12,8 @@
 
     Quiescent interleavings (every update drains before the next) keep it
     convergent — the same pattern as Algorithm 5.1 in the single-source
-    setting. Registered as ["fetch-join"]; {!Federation.run} only hosts
-    it behind [~allow_cross_source:true]. *)
+    setting. Registered as ["fetch-join"]; {!Engine.run} only hosts it
+    behind [~allow_cross_source:true]. *)
 
 module R := Relational
 

@@ -14,10 +14,10 @@
     a quiescence probe (where RV flushes a partial period), and the run
     ends when the probe produces no new work.
 
-    {!Runner.run} (one source, historical interface) and
-    {!Federation.run} (N sources) are thin wrappers over {!run}; the
-    golden-trace suite pins their output byte-for-byte across the
-    refactor.
+    {!run} is the one run entry point: a single-source run is the
+    one-site case ([~sites:[site ~name:"source" db]]), a federation
+    passes one {!site} per source. The golden-trace suite pins the
+    output of both byte-for-byte.
 
     Relations are owned by exactly one source; views bind to the unique
     source owning all their relations and are judged against that
@@ -173,5 +173,5 @@ val run :
     oracle's states are filtered through an independent watermark
     advanced at source execution — windowed runs are judged
     windowed-vs-windowed.
-    @raise Window.Window_error when a window spec names an unknown view
-    or an invalid partition attribute. *)
+    @raise Engine_error when a window spec names an unknown view.
+    @raise Window.Window_error on an invalid partition attribute. *)

@@ -229,30 +229,33 @@ let trace_entry = function
         ("installs", string_of_int (List.length installs));
       ]
 
+(* Per-view final state, source truth and consistency verdict. *)
+let views (r : Engine.result) =
+  obj
+    (List.map
+       (fun (name, mv) ->
+         ( name,
+           obj
+             [
+               ("final", bag mv);
+               ( "source_truth",
+                 bag (List.assoc name r.Engine.final_source_views) );
+               ("report", report (List.assoc name r.Engine.reports));
+             ] ))
+       r.Engine.final_mvs)
+
 (* The federation summary pins the behavior-defining observables of a
-   federated run: per-view final states, source truth and consistency
+   multi-source run: per-view final states, source truth and consistency
    verdicts, plus the event/traffic counters whose values are fixed by
    the event order alone. Byte-accounting fields (answer_bytes,
    query_bytes) are deliberately excluded: their definition was unified
-   with the single-source runner's cost-based accounting when both
-   drivers moved onto the shared engine. *)
-let federation_summary (r : Federation.result) =
-  let m = r.Federation.metrics in
+   with the single-source cost-based accounting when both drivers moved
+   onto the shared engine. *)
+let federation_summary (r : Engine.result) =
+  let m = r.Engine.metrics in
   obj
     [
-      ( "views",
-        obj
-          (List.map
-             (fun (name, mv) ->
-               ( name,
-                 obj
-                   [
-                     ("final", bag mv);
-                     ( "source_truth",
-                       bag (List.assoc name r.Federation.final_source_views) );
-                     ("report", report (List.assoc name r.Federation.reports));
-                   ] ))
-             r.Federation.final_mvs) );
+      ("views", views r);
       ( "counts",
         obj
           [
@@ -266,22 +269,10 @@ let federation_summary (r : Federation.result) =
           ] );
     ]
 
-let result (r : Runner.result) =
+let result (r : Engine.result) =
   obj
     [
-      ("metrics", metrics r.Runner.metrics);
-      ( "views",
-        obj
-          (List.map
-             (fun (name, mv) ->
-               ( name,
-                 obj
-                   [
-                     ("final", bag mv);
-                     ( "source_truth",
-                       bag (List.assoc name r.Runner.final_source_views) );
-                     ("report", report (List.assoc name r.Runner.reports));
-                   ] ))
-             r.Runner.final_mvs) );
-      ("trace", arr (List.map trace_entry (Trace.entries r.Runner.trace)));
+      ("metrics", metrics r.Engine.metrics);
+      ("views", views r);
+      ("trace", arr (List.map trace_entry (Trace.entries r.Engine.trace)));
     ]

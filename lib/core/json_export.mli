@@ -35,12 +35,12 @@ val metrics : Metrics.t -> string
 val report : Consistency.report -> string
 val trace_entry : Trace.entry -> string
 
-val result : Runner.result -> string
+val result : Engine.result -> string
 (** The whole run as one JSON object:
     [{"metrics": …, "views": {…}, "trace": […]}]. *)
 
-val federation_summary : Federation.result -> string
-(** The behavior-defining observables of a federated run as one JSON
+val federation_summary : Engine.result -> string
+(** The behavior-defining observables of a multi-source run as one JSON
     object: [{"views": {…}, "counts": {…}}]. Per-view final states,
     source truth and consistency verdicts, plus the counters fixed by
     the event order (updates, messages, answer tuples, IO, steps). Used

@@ -30,8 +30,6 @@ type policy =
   | Explicit of action list
   | Bounded_inflight of int
   | Weighted_fair of int
-  | Drain_first
-  | Updates_first
 
 module Iset = Set.Make (Int)
 
@@ -119,16 +117,6 @@ let create policy =
   | Weighted_fair q when q < 1 ->
     raise (Schedule_error "Weighted_fair quantum must be at least 1")
   | _ -> ());
-  (* The federation aliases are exactly the two extreme cases generalized
-     to several sites: draining delivers and answers everything in flight
-     before the next update (Best_case), updates-first pushes the whole
-     stream into the system before any query is answered (Worst_case). *)
-  let policy =
-    match policy with
-    | Drain_first -> Best_case
-    | Updates_first -> Worst_case
-    | p -> p
-  in
   { policy; script; rotation = 0; rng = Random.State.make [| seed |];
     wf_pos = 0; wf_served = 0 }
 
@@ -344,8 +332,8 @@ let pick_ready t (r : Ready.t) =
   if Ready.idle r then None
   else
     match t.policy with
-    | Best_case | Drain_first -> best_case r
-    | Worst_case | Updates_first -> worst_case r
+    | Best_case -> best_case r
+    | Worst_case -> worst_case r
     | Round_robin -> round_robin t r
     | Random _ -> random t r
     | Bounded_inflight bound -> bounded_inflight bound r

@@ -89,12 +89,6 @@ type policy =
           drains proportionally to its backlog, yet any ready event is
           served within [1 + (N-1) * quantum] picks of becoming
           ready. *)
-  | Drain_first
-      (** deprecated federation alias of [Best_case] — deliver and
-          answer everything in flight before the next update *)
-  | Updates_first
-      (** deprecated federation alias of [Worst_case] — push every
-          update into the system before answering queries *)
 
 module Iset : Set.S with type elt = int
 

@@ -45,7 +45,7 @@ val can_receive : t -> direction -> bool
 
 val tick : t -> unit
 (** Advance the transport clock one tick: delayed transmissions ripen and
-    overdue frames retransmit. The runner calls this when no simulation
+    overdue frames retransmit. The engine calls this when no simulation
     event is enabled, keeping runs deterministic. *)
 
 val idle : t -> bool

@@ -6,7 +6,7 @@
     {!Ring} (oldest dropped and counted once full, so memory stays
     bounded). [write]/[write_file] export the retained events as JSONL —
     one meta header line, then one object per event in completion order —
-    the format behind [Runner]/[Federation]'s [?trace_out]. *)
+    the format behind [vmw run --trace-out]. *)
 
 type gauge = {
   g_name : string;  (** gauge name, e.g. ["staleness"] *)

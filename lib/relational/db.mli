@@ -3,7 +3,7 @@
 
     The source site owns one of these; the SC (store copies) algorithm
     keeps a replica at the warehouse. Values are immutable — applying an
-    update returns a new instance, which is what lets the simulation runner
+    update returns a new instance, which is what lets the simulation engine
     snapshot source states for the Section-3 consistency checkers at zero
     bookkeeping cost. *)
 

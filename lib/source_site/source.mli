@@ -31,7 +31,7 @@ val catalog : t -> Storage.Catalog.t
 
 val execute_update : t -> R.Update.t -> unit
 (** The update half of an [S_up] event. The caller (the simulation
-    runner) sends the notification message. *)
+    engine) sends the notification message. *)
 
 val execute_ddl : t -> R.Update.ddl -> unit
 (** An [S_ddl] event: apply a schema change to the base relations (see

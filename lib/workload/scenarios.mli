@@ -7,7 +7,7 @@ module R := Relational
 
 type scaled = {
   sources : (string * Storage.Catalog.t option * R.Db.t) list;
-      (** in {!Federation.run} source order: s0, s1, … *)
+      (** [(site name, catalog, db)] in site order: s0, s1, … *)
   views : R.View.t list;  (** v{i} = π_{W,Y}(s{i}_r1 ⋈ s{i}_r2) *)
   updates : R.Update.t list;  (** the interleaved global stream *)
 }

@@ -54,17 +54,33 @@ let view_wy ?(name = "V") ?(r1 = r1) ?(r2 = r2) () =
 let view_w3 ?(name = "V") () =
   R.View.natural_join ~name ~proj:[ R.Attr.unqualified "W" ] [ r1; r2; r3 ]
 
+(* The one-source site graph of the paper's single-source setting. *)
+let source_site ?catalog db = Core.Engine.site ?catalog ~name:"source" db
+
+let defs views = List.map R.Viewdef.simple views
+
+(* One site per [(name, catalog, db)] source. Edge [i] seeds its fault
+   RNG from [fault_seed + 2i] (a channel pair takes two seeds), so the
+   edges fail independently. *)
+let fed_sites ?fault ?(fault_seed = 0) ?reliable sources =
+  List.mapi
+    (fun i (name, catalog, db) ->
+      Core.Engine.site ?catalog ?fault ~fault_seed:(fault_seed + (2 * i))
+        ?reliable ~name db)
+    sources
+
 let run ?catalog ?(schedule = Core.Scheduler.Best_case) ?rv_period ~algorithm
     ~views ~db ~updates () =
-  Core.Runner.run ?catalog ~schedule ?rv_period
+  Core.Engine.run ~schedule ?rv_period
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~views ~db ~updates ()
+    ~sites:[ source_site ?catalog db ]
+    ~views:(defs views) ~updates ()
 
-let final_mv (result : Core.Runner.result) name =
-  List.assoc name result.Core.Runner.final_mvs
+let final_mv (result : Core.Engine.result) name =
+  List.assoc name result.Core.Engine.final_mvs
 
-let report (result : Core.Runner.result) name =
-  List.assoc name result.Core.Runner.reports
+let report (result : Core.Engine.result) name =
+  List.assoc name result.Core.Engine.reports
 
 (* Shorthand for explicit schedules: "AWAWSWSW" = the letter sequence of
    Apply_update / Warehouse_receive / Source_receive actions. *)
@@ -89,9 +105,10 @@ let rng seed = Random.State.make [| seed |]
    matrices in test_faults/test_reliable). Sized by PAR (PAR=1 = the
    sequential path, no domains spawned); created on first use so suites
    that never sweep pay nothing. [par_map] preserves input order and
-   re-raises the first failure, so Alcotest checks may run inside the
-   mapped function — but prefer returning data and checking sequentially
-   when the check message depends on accumulated state. *)
+   re-raises the first exception. The mapped function must return data
+   and never call Alcotest: [Alcotest.check] and [Alcotest.fail] write to
+   a formatter shared by every domain, so run the checks on the returned
+   list, in the calling domain. *)
 let pool = lazy (Parallel.Pool.create ())
 
 let par_map f xs = Parallel.Pool.map_list (Lazy.force pool) f xs

@@ -8,9 +8,9 @@ module R = Relational
 
 let run_batched ?(schedule = Core.Scheduler.Worst_case) ~algorithm ~batch_size
     ~views ~db ~updates () =
-  Core.Runner.run ~schedule ~batch_size
+  Core.Engine.run ~schedule ~batch_size
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~views ~db ~updates ()
+    ~sites:[ source_site db ] ~views:(defs views) ~updates ()
 
 let example4_setup () =
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []); (r3, []) ] in
@@ -26,9 +26,9 @@ let eca_batch_correct () =
   in
   check_bag "batched run is correct"
     (bag [ [ 1 ]; [ 4 ] ])
-    (List.assoc "V" result.Core.Runner.final_mvs);
+    (List.assoc "V" result.Core.Engine.final_mvs);
   check_bool "strongly consistent" true
-    (List.assoc "V" result.Core.Runner.reports)
+    (List.assoc "V" result.Core.Engine.reports)
       .Core.Consistency.strongly_consistent
 
 let eca_batch_message_savings () =
@@ -39,7 +39,7 @@ let eca_batch_message_savings () =
       run_batched ~algorithm:"eca" ~batch_size ~views:[ view_w () ] ~db
         ~updates ()
     in
-    Core.Metrics.messages r.Core.Runner.metrics
+    Core.Metrics.messages r.Core.Engine.metrics
   in
   check_int "unbatched: 2k" 24 (messages 1);
   check_int "batch of 3: 2*ceil(k/3)" 8 (messages 3);
@@ -54,7 +54,7 @@ let eca_batch_agrees_with_unbatched () =
     let r =
       run_batched ~algorithm ~batch_size ~views:[ view ] ~db ~updates ()
     in
-    List.assoc "V" r.Core.Runner.final_mvs
+    List.assoc "V" r.Core.Engine.final_mvs
   in
   List.iter
     (fun algorithm ->
@@ -73,7 +73,7 @@ let lca_batch_complete_at_boundaries () =
     run_batched ~algorithm:"lca" ~batch_size:3 ~views:[ view ] ~db ~updates ()
   in
   check_bool "complete w.r.t. batch boundaries" true
-    (List.assoc "V" result.Core.Runner.reports).Core.Consistency.complete
+    (List.assoc "V" result.Core.Engine.reports).Core.Consistency.complete
 
 let lca_batch_mixed_sizes () =
   (* k not divisible by the batch size: a trailing partial batch. *)
@@ -90,9 +90,9 @@ let lca_batch_mixed_sizes () =
   in
   let expected = R.Eval.view (R.Db.apply_all db updates) (view_w3 ()) in
   check_bag "correct final view" expected
-    (List.assoc "V" result.Core.Runner.final_mvs);
+    (List.assoc "V" result.Core.Engine.final_mvs);
   check_bool "complete" true
-    (List.assoc "V" result.Core.Runner.reports).Core.Consistency.complete
+    (List.assoc "V" result.Core.Engine.reports).Core.Consistency.complete
 
 let ecak_batch_with_inner_race () =
   (* insert-then-delete of the same tuple within one batch: the tombstone
@@ -106,7 +106,7 @@ let ecak_batch_with_inner_race () =
   in
   check_bag "net effect survives in-batch race"
     (bag [ [ 0; 0 ] ])
-    (List.assoc "V" result.Core.Runner.final_mvs)
+    (List.assoc "V" result.Core.Engine.final_mvs)
 
 let modification_as_batched_pair () =
   (* The paper models a modification as delete + insert; a batch of two
@@ -118,9 +118,9 @@ let modification_as_batched_pair () =
       ~updates ()
   in
   check_bag "modified tuple" (bag [ [ 9 ] ])
-    (List.assoc "V" result.Core.Runner.final_mvs);
+    (List.assoc "V" result.Core.Engine.final_mvs);
   (* atomicity: the warehouse never shows the view without either value *)
-  let states = Core.Trace.warehouse_states result.Core.Runner.trace "V" in
+  let states = Core.Trace.warehouse_states result.Core.Engine.trace "V" in
   check_bool "no intermediate empty view" false
     (List.exists R.Bag.is_empty states)
 
@@ -145,13 +145,13 @@ let batch_prop =
                 run_batched ~schedule ~algorithm ~batch_size ~views:[ view ]
                   ~db ~updates ()
               in
-              let report = List.assoc "V" r.Core.Runner.reports in
+              let report = List.assoc "V" r.Core.Engine.reports in
               let ok_level =
                 if needs_complete then report.Core.Consistency.complete
                 else report.Core.Consistency.strongly_consistent
               in
               ok_level
-              && R.Bag.equal expected (List.assoc "V" r.Core.Runner.final_mvs))
+              && R.Bag.equal expected (List.assoc "V" r.Core.Engine.final_mvs))
             [
               Core.Scheduler.Best_case; Core.Scheduler.Worst_case;
               Core.Scheduler.Random seed;

@@ -90,9 +90,9 @@ let constructors () =
 (* ------------------------------------------------------------------ *)
 
 let run_compound ~algorithm ~schedule vd db updates =
-  Core.Runner.run_defs ~schedule
+  Core.Engine.run ~schedule
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~views:[ vd ] ~db ~updates ()
+    ~sites:[ source_site db ] ~views:[ vd ] ~updates ()
 
 let updates_mixed =
   [
@@ -110,7 +110,7 @@ let maintenance_under_schedules () =
           List.iter
             (fun schedule ->
               let r = run_compound ~algorithm ~schedule vd db updates_mixed in
-              let report = List.assoc "U" r.Core.Runner.reports in
+              let report = List.assoc "U" r.Core.Engine.reports in
               check_bool
                 (Printf.sprintf "%s on %s consistent" algorithm
                    vd.R.Viewdef.name)
@@ -120,7 +120,7 @@ let maintenance_under_schedules () =
               check_bag
                 (Printf.sprintf "%s on %s correct" algorithm vd.R.Viewdef.name)
                 truth
-                (List.assoc "U" r.Core.Runner.final_mvs))
+                (List.assoc "U" r.Core.Engine.final_mvs))
             [ Core.Scheduler.Best_case; Core.Scheduler.Worst_case;
               Core.Scheduler.Random 17 ])
         [ ("eca", false); ("lca", true); ("rv", false); ("sc", true) ])
@@ -144,13 +144,13 @@ let basic_still_anomalous_on_unions () =
       updates
   in
   check_bool "basic stays anomalous" false
-    (List.assoc "U" r.Core.Runner.reports).Core.Consistency.weakly_consistent;
+    (List.assoc "U" r.Core.Engine.reports).Core.Consistency.weakly_consistent;
   let r' =
     run_compound ~algorithm:"eca" ~schedule:(explicit "AWAWSWSW") vd2 db
       updates
   in
   check_bool "eca fixes it on compound views too" true
-    (List.assoc "U" r'.Core.Runner.reports)
+    (List.assoc "U" r'.Core.Engine.reports)
       .Core.Consistency.strongly_consistent
 
 let ecak_rejects_compound () =
@@ -178,7 +178,7 @@ let negative_states_are_legal_for_differences () =
       updates
   in
   check_int "maintained to net -2" (-2)
-    (R.Bag.count (List.assoc "U" r.Core.Runner.final_mvs) (R.Tuple.ints [ 1 ]))
+    (R.Bag.count (List.assoc "U" r.Core.Engine.final_mvs) (R.Tuple.ints [ 1 ]))
 
 (* ------------------------------------------------------------------ *)
 (* qcheck                                                              *)
@@ -239,10 +239,10 @@ let compound_prop =
           List.for_all
             (fun schedule ->
               let r = run_compound ~algorithm ~schedule vd db updates in
-              let report = List.assoc "U" r.Core.Runner.reports in
+              let report = List.assoc "U" r.Core.Engine.reports in
               (if wants_complete then report.Core.Consistency.complete
                else report.Core.Consistency.strongly_consistent)
-              && R.Bag.equal truth (List.assoc "U" r.Core.Runner.final_mvs))
+              && R.Bag.equal truth (List.assoc "U" r.Core.Engine.final_mvs))
             [ Core.Scheduler.Worst_case; Core.Scheduler.Random seed ])
         [ ("eca", false); ("lca", true) ])
 

@@ -8,7 +8,6 @@
 
 open Helpers
 module R = Relational
-module F = Core.Federation
 module S = Core.Scheduler
 
 (* ------------------------------------------------------------------ *)
@@ -58,23 +57,7 @@ let round_robin_skips_disabled_without_stalling () =
   let none = multi ~update:false [ false; false ] [ false; false ] in
   Alcotest.(check (list string)) "nothing enabled" [ "-" ] (picks sched [ none ])
 
-let extremes_generalize_the_federation_policies () =
-  (* Drain_first ≡ Best_case (first ready receive, site order, source end
-     first); Updates_first ≡ Worst_case (updates, then warehouse ends,
-     then source ends). *)
-  let m = multi ~update:true [ false; true ] [ true; true ] in
-  List.iter
-    (fun (label, policy, expect) ->
-      let sched = S.create policy in
-      Alcotest.(check string) label expect (List.hd (picks sched [ m ])))
-    [
-      ("drain-first picks the first ready receive", S.Drain_first, "W0");
-      ("best-case is the same policy", S.Best_case, "W0");
-      ("updates-first picks the update", S.Updates_first, "A");
-      ("worst-case is the same policy", S.Worst_case, "A");
-    ]
-
-(* The aliases must also coincide end-to-end through Federation.run. *)
+(* Two sources, each owning its own relations. *)
 let emp = R.Schema.of_names "emp" [ "EID"; "DID" ]
 let dept = R.Schema.of_names "dept" [ "DID"; "BUDGET" ]
 let ord = R.Schema.of_names "ord" [ "OID"; "CID" ]
@@ -110,44 +93,33 @@ let two_source_updates =
     ins "cust" [ 9; 3 ];
   ]
 
-let fed_summary policy =
-  Core.Json_export.federation_summary
-    (F.run ~policy
-       ~creator:(Core.Registry.creator_exn "eca")
-       ~sources:(two_sources ()) ~views:[ v_hr; v_sales ]
-       ~updates:two_source_updates ())
-
-let aliases_coincide_end_to_end () =
-  Alcotest.(check string)
-    "Drain_first runs are Best_case runs"
-    (fed_summary F.Best_case) (fed_summary F.Drain_first);
-  Alcotest.(check string)
-    "Updates_first runs are Worst_case runs"
-    (fed_summary F.Worst_case) (fed_summary F.Updates_first)
-
 (* ------------------------------------------------------------------ *)
 (* The federated trace: per-source state sequences                      *)
 (* ------------------------------------------------------------------ *)
 
 let federated_trace_is_per_source () =
   let result =
-    F.run ~policy:F.Drain_first
+    Core.Engine.run ~schedule:S.Best_case
       ~creator:(Core.Registry.creator_exn "eca")
-      ~sources:(two_sources ()) ~views:[ v_hr; v_sales ]
+      ~sites:(fed_sites (two_sources ()))
+      ~views:(defs [ v_hr; v_sales ])
       ~updates:two_source_updates ()
   in
   (* Two hr updates and one sales-side cust update affect the two views:
      each view's source-state sequence advances only on its own source's
      updates (initial state + one per owning-site update). *)
   check_int "hr view: initial + its 2 updates" 3
-    (List.length (Core.Trace.source_states result.F.trace "emp_budget"));
+    (List.length
+       (Core.Trace.source_states result.Core.Engine.trace "emp_budget"));
   check_int "sales view: initial + its 2 updates" 3
-    (List.length (Core.Trace.source_states result.F.trace "ord_segment"));
-  check_bool "every view strongly consistent under drain-first" true
+    (List.length
+       (Core.Trace.source_states result.Core.Engine.trace "ord_segment"));
+  check_bool "every view strongly consistent under best-case" true
     (List.for_all
        (fun (_, r) -> r.Core.Consistency.strongly_consistent)
-       result.F.reports);
-  check_int "no negative installs" 0 (List.length result.F.negative_installs)
+       result.Core.Engine.reports);
+  check_int "no negative installs" 0
+    (List.length result.Core.Engine.negative_installs)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-source fetch-join: a state corresponding to no global snapshot *)
@@ -161,7 +133,7 @@ let v_cross =
 
 let cross_source_installs_no_global_snapshot () =
   (* Racing inserts on two sources: emp(8,10) at hr and cust(8,1) at
-     sales both join into the cross view. Under updates-first, each
+     sales both join into the cross view. Under worst-case, each
      insert's fetch query is answered against a state that already
      contains the other insert, so the effect is counted twice: the
      warehouse installs {(8,1)↦2, …} — a bag that is not the view's value
@@ -169,27 +141,30 @@ let cross_source_installs_no_global_snapshot () =
      sequences, making the anomaly a checkable witness instead of a
      remark in the docs. *)
   let result =
-    F.run ~policy:F.Updates_first ~allow_cross_source:true
+    Core.Engine.run ~schedule:S.Worst_case ~allow_cross_source:true
       ~creator:(Core.Registry.creator_exn "fetch-join")
-      ~sources:(two_sources ()) ~views:[ v_cross ]
+      ~sites:(fed_sites (two_sources ()))
+      ~views:(defs [ v_cross ])
       ~updates:[ ins "emp" [ 8; 10 ]; ins "cust" [ 8; 1 ] ]
       ()
   in
-  let source_states = Core.Trace.source_states result.F.trace "cross" in
-  let warehouse_states = Core.Trace.warehouse_states result.F.trace "cross" in
+  let trace = result.Core.Engine.trace in
+  let source_states = Core.Trace.source_states trace "cross" in
+  let warehouse_states = Core.Trace.warehouse_states trace "cross" in
   check_bool "witness: an installed state equals no global snapshot" true
     (List.exists
        (fun w -> not (List.exists (R.Bag.equal w) source_states))
        warehouse_states);
-  let report = List.assoc "cross" result.F.reports in
+  let report = List.assoc "cross" result.Core.Engine.reports in
   check_bool "verdict: not even convergent" false
     report.Core.Consistency.convergent;
   (* the double-count is an over-insertion, not an over-deletion *)
-  check_int "no negative installs" 0 (List.length result.F.negative_installs);
+  check_int "no negative installs" 0
+    (List.length result.Core.Engine.negative_installs);
   check_bag "final view double-counts the racing pair"
     (R.Bag.of_list
        [ R.Tuple.ints [ 8; 1 ]; R.Tuple.ints [ 8; 1 ]; R.Tuple.ints [ 8; 2 ] ])
-    (List.assoc "cross" result.F.final_mvs)
+    (List.assoc "cross" result.Core.Engine.final_mvs)
 
 (* ------------------------------------------------------------------ *)
 (* 3-source federation × fault profiles × reliable delivery vs oracle  *)
@@ -270,16 +245,15 @@ let fed_scenario ~kind ~seed =
 let run_fed ?fault ?(reliable = false) ~algorithm ~kind ~seed () =
   let sources, views, updates, truths = fed_scenario ~kind ~seed in
   let result =
-    F.run
-      ~policy:(S.Random seed)
-      ?fault ~fault_seed:(seed * 7) ~reliable
+    Core.Engine.run ~schedule:(S.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~sources ~views ~updates ()
+      ~sites:(fed_sites ?fault ~fault_seed:(seed * 7) ~reliable sources)
+      ~views:(defs views) ~updates ()
   in
   let ok =
     List.for_all
       (fun (name, truth) ->
-        R.Bag.equal truth (List.assoc name result.F.final_mvs))
+        R.Bag.equal truth (List.assoc name result.Core.Engine.final_mvs))
       truths
   in
   (ok, result)
@@ -303,10 +277,10 @@ let family_correct_over_federated_reliable_faults () =
   let swept =
     par_map
       (fun (algorithm, kind, profile, fault, seed) ->
-        let ok, (result : F.result) =
+        let ok, (result : Core.Engine.result) =
           run_fed ~fault ~reliable:true ~algorithm ~kind ~seed ()
         in
-        let m = result.F.metrics in
+        let m = result.Core.Engine.metrics in
         ( (algorithm, profile, seed),
           ok,
           m.Core.Metrics.delivery,
@@ -352,10 +326,6 @@ let suite =
       round_robin_rotates_over_sites;
     Alcotest.test_case "round-robin skips disabled events" `Quick
       round_robin_skips_disabled_without_stalling;
-    Alcotest.test_case "extreme policies generalize federation's" `Quick
-      extremes_generalize_the_federation_policies;
-    Alcotest.test_case "policy aliases coincide end-to-end" `Quick
-      aliases_coincide_end_to_end;
     Alcotest.test_case "federated trace is per-source" `Quick
       federated_trace_is_per_source;
     Alcotest.test_case "cross-source install has no global snapshot" `Quick

@@ -37,8 +37,8 @@ let final_viewdef_of vd ddls =
     (fun vd (_, d) -> if R.Evolve.affects vd d then R.Evolve.viewdef vd d else vd)
     vd ddls
 
-let evolution_metrics (result : Core.Runner.result) =
-  match result.Core.Runner.metrics.Core.Metrics.evolution with
+let evolution_metrics (result : Core.Engine.result) =
+  match result.Core.Engine.metrics.Core.Metrics.evolution with
   | Some e -> e
   | None -> Alcotest.fail "run reported no evolution metrics"
 
@@ -162,10 +162,12 @@ let run_evolution ?fault ?fault_seed ?reliable ?(algorithm = "eca") ~seed () =
     Workload.Scenarios.evolution (spec ~seed ())
   in
   let result =
-    Core.Runner.run ?fault ?fault_seed ?reliable
+    Core.Engine.run
       ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~evolution:ddls ~views:[ view ] ~db ~updates ()
+      ~evolution:ddls
+      ~sites:[ Core.Engine.site ?fault ?fault_seed ?reliable ~name:"source" db ]
+      ~views:(defs [ view ]) ~updates ()
   in
   let truth =
     R.Viewdef.eval (final_db_of db updates ddls)
@@ -194,51 +196,31 @@ let stale_quiesce_max = 0
 
 let sweep_seeds = List.init 40 (fun i -> i)
 
+(* The sweeps run on the domain pool; each cell's checks run afterwards in
+   the calling domain, in seed order. *)
+let check_sweep_cell label (seed, (result, truth)) =
+  let msg what = Printf.sprintf "%s seed %d: %s" label seed what in
+  let rep = report result "VK" in
+  let e = evolution_metrics result in
+  check_bool (msg "oracle") true (R.Bag.equal truth (final_mv result "VK"));
+  check_bool (msg "consistent") true rep.Core.Consistency.consistent;
+  check_bool (msg "convergent") true rep.Core.Consistency.convergent;
+  check_bool (msg "stale answers absorbed") true
+    (e.Core.Metrics.stale_answers - e.Core.Metrics.retired_answers
+    <= stale_quiesce_max)
+
 let surviving_rung_sweep () =
-  List.iter
-    (fun (seed, (ok_mv, consistent, convergent, unabsorbed)) ->
-      check_bool (Printf.sprintf "clean seed %d: oracle" seed) true ok_mv;
-      check_bool (Printf.sprintf "clean seed %d: consistent" seed) true consistent;
-      check_bool (Printf.sprintf "clean seed %d: convergent" seed) true convergent;
-      check_bool
-        (Printf.sprintf "clean seed %d: stale answers absorbed" seed) true
-        (unabsorbed <= stale_quiesce_max))
-    (par_map
-       (fun seed ->
-         let result, truth = run_evolution ~seed () in
-         let rep = report result "VK" in
-         let e = evolution_metrics result in
-         ( seed,
-           ( R.Bag.equal truth (final_mv result "VK"),
-             rep.Core.Consistency.consistent,
-             rep.Core.Consistency.convergent,
-             e.Core.Metrics.stale_answers - e.Core.Metrics.retired_answers ) ))
-       sweep_seeds)
+  List.iter (check_sweep_cell "clean")
+    (par_map (fun seed -> (seed, run_evolution ~seed ())) sweep_seeds)
 
 let reliable_chaos_sweep () =
   List.iter
-    (fun (seed, (ok_mv, consistent, convergent, unabsorbed)) ->
-      check_bool (Printf.sprintf "reliable seed %d: oracle" seed) true ok_mv;
-      check_bool (Printf.sprintf "reliable seed %d: consistent" seed) true
-        consistent;
-      check_bool (Printf.sprintf "reliable seed %d: convergent" seed) true
-        convergent;
-      check_bool
-        (Printf.sprintf "reliable seed %d: stale answers absorbed" seed) true
-        (unabsorbed <= stale_quiesce_max))
+    (check_sweep_cell "reliable")
     (par_map
        (fun seed ->
-         let result, truth =
-           run_evolution ~fault:Workload.Scenarios.chaos_profile
-             ~fault_seed:(seed * 11) ~reliable:true ~seed ()
-         in
-         let rep = report result "VK" in
-         let e = evolution_metrics result in
          ( seed,
-           ( R.Bag.equal truth (final_mv result "VK"),
-             rep.Core.Consistency.consistent,
-             rep.Core.Consistency.convergent,
-             e.Core.Metrics.stale_answers - e.Core.Metrics.retired_answers ) ))
+           run_evolution ~fault:Workload.Scenarios.chaos_profile
+             ~fault_seed:(seed * 11) ~reliable:true ~seed () ))
        sweep_seeds)
 
 (* Raw faulty channels reorder the Ddl_note against the answers it is
@@ -264,19 +246,19 @@ let no_ddl_run_is_byte_identical () =
     Workload.Scenarios.keyed (spec ~seed:5 ())
   in
   let go evolution =
-    Core.Runner.run ?evolution ~schedule:(Core.Scheduler.Random 5)
+    Core.Engine.run ?evolution ~schedule:(Core.Scheduler.Random 5)
       ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
   in
   let plain = go None and empty = go (Some []) in
   Alcotest.(check string) "metrics render byte-identical"
-    (Format.asprintf "%a" Core.Metrics.pp plain.Core.Runner.metrics)
-    (Format.asprintf "%a" Core.Metrics.pp empty.Core.Runner.metrics);
+    (Format.asprintf "%a" Core.Metrics.pp plain.Core.Engine.metrics)
+    (Format.asprintf "%a" Core.Metrics.pp empty.Core.Engine.metrics);
   Alcotest.(check bool) "no evolution block without DDLs" true
-    (empty.Core.Runner.metrics.Core.Metrics.evolution = None);
+    (empty.Core.Engine.metrics.Core.Metrics.evolution = None);
   check_bag "same final MV" (final_mv plain "VK") (final_mv empty "VK");
   Alcotest.(check bool) "same reports" true
-    (plain.Core.Runner.reports = empty.Core.Runner.reports)
+    (plain.Core.Engine.reports = empty.Core.Engine.reports)
 
 (* ------------------------------------------------------------------ *)
 (* Windowed views                                                      *)
@@ -295,10 +277,10 @@ let hand_window () =
   let db = db_of [ (r2, [ [ 10; 1 ]; [ 20; 2 ]; [ 30; 3 ] ]) ] in
   let updates = [ ins "r2" [ 40; 4 ]; ins "r2" [ 50; 5 ] ] in
   let result =
-    Core.Runner.run ~schedule:Core.Scheduler.Best_case
+    Core.Engine.run ~schedule:Core.Scheduler.Best_case
       ~creator:(Core.Registry.creator_exn "eca")
       ~windows:[ ("VW", { Core.Window.rel = "r2"; col = "Y"; k = 2 }) ]
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
   in
   check_bag "only the two newest partitions are visible"
     (bag [ [ 40; 4 ]; [ 50; 5 ] ])
@@ -315,10 +297,10 @@ let windowed_keyed_run ?shard ~k ~seed () =
   in
   let window = { Core.Window.rel = "r2"; col = "Y"; k } in
   let result =
-    Core.Runner.run ?shard ~schedule:(Core.Scheduler.Random seed)
+    Core.Engine.run ?shard ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn "eca")
       ~windows:[ ("VK", window) ]
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
   in
   (* Independent expectation: replay the watermark protocol over the
      final full view. *)
@@ -349,10 +331,10 @@ let window_pruning_fires () =
   in
   let window = { Core.Window.rel = "r2"; col = "Y"; k = 3 } in
   let result =
-    Core.Runner.run ~schedule:(Core.Scheduler.Random 0)
+    Core.Engine.run ~schedule:(Core.Scheduler.Random 0)
       ~creator:(Core.Registry.creator_exn "eca")
       ~windows:[ ("VK", window) ]
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
   in
   let vd = R.Viewdef.simple view in
   let st = Core.Window.make window vd in
@@ -378,8 +360,8 @@ let windowed_deterministic_at_any_par () =
   let result_sharded, _ =
     windowed_keyed_run ~shard:(Lazy.force Helpers.pool) ~k:3 ~seed:9 ()
   in
-  let render (r : Core.Runner.result) =
-    Format.asprintf "%a@.%a" Core.Metrics.pp r.Core.Runner.metrics R.Bag.pp
+  let render (r : Core.Engine.result) =
+    Format.asprintf "%a@.%a" Core.Metrics.pp r.Core.Engine.metrics R.Bag.pp
       (final_mv r "VK")
   in
   Alcotest.(check string) "same run twice is byte-identical" (render result1)
@@ -413,12 +395,12 @@ let window_validation () =
   in
   Alcotest.(check bool) "window for an unknown view rejected" true
     (match
-       Core.Runner.run
+       Core.Engine.run
          ~creator:(Core.Registry.creator_exn "eca")
          ~windows:[ ("nope", { Core.Window.rel = "r2"; col = "Y"; k = 2 }) ]
-         ~views:[ view ] ~db ~updates ()
+         ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
      with
-     | exception Core.Runner.Run_error _ -> true
+     | exception Core.Engine.Engine_error _ -> true
      | _ -> false)
 
 let windowed_catalog_run () =
@@ -432,9 +414,15 @@ let windowed_catalog_run () =
         (R.Viewdef.simple view);
     ]
   in
-  let result = Core.Runner.run_catalog ~entries ~db ~updates () in
+  let result =
+    Core.Engine.run ~share_deltas:true
+      ~creator:(Core.Catalog.creator entries)
+      ~sites:[ source_site db ]
+      ~views:(Core.Catalog.views entries)
+      ~windows:(Core.Catalog.windows entries) ~updates ()
+  in
   let direct, _ = windowed_keyed_run ~k:4 ~seed:7 () in
-  (* run_catalog defaults differ (shared deltas, Best_case schedule), so
+  (* catalog runs share deltas under the Best_case schedule, so
      compare against the analytic expectation instead of the direct run. *)
   ignore direct;
   let vd = R.Viewdef.simple view in
@@ -445,7 +433,7 @@ let windowed_catalog_run () =
     Core.Window.filter st (R.Viewdef.eval (R.Db.apply_all db updates) vd)
   in
   check_bag "catalog-registered window matches" truth
-    (List.assoc "VK" result.Core.Runner.final_mvs)
+    (List.assoc "VK" result.Core.Engine.final_mvs)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions                                               *)

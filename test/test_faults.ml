@@ -8,19 +8,22 @@
 open Helpers
 module R = Relational
 
-let run_with ?unordered_delivery ~algorithm ~seed () =
+let reorder = Messaging.Fault.reorder_only
+
+let run_with ?fault ?fault_seed ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.example6
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.6 ~seed ())
   in
   let result =
-    Core.Runner.run ?unordered_delivery
+    Core.Engine.run
       ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ Core.Engine.site ?fault ?fault_seed ~name:"source" db ]
+      ~views:(defs [ view ]) ~updates ()
   in
   let truth = R.Eval.view (R.Db.apply_all db updates) view in
-  R.Bag.equal truth (List.assoc "V" result.Core.Runner.final_mvs)
+  R.Bag.equal truth (List.assoc "V" result.Core.Engine.final_mvs)
 
 (* The 40-seed sweeps fan out over the shared domain pool (Helpers.par_map,
    sized by PAR); results come back in seed order, so pass/fail sets and
@@ -32,7 +35,8 @@ let eca_breaks_without_fifo () =
     List.exists not
       (par_map
          (fun seed ->
-           run_with ~unordered_delivery:(seed * 7) ~algorithm:"eca" ~seed ())
+           run_with ~fault:reorder ~fault_seed:(seed * 7) ~algorithm:"eca"
+             ~seed ())
          seeds)
   in
   check_bool "out-of-order delivery breaks ECA somewhere" true broken
@@ -59,7 +63,8 @@ let rv_tolerates_reordering_less_catastrophically () =
       (par_map
          (fun seed ->
            ( seed,
-             run_with ~unordered_delivery:(seed * 13) ~algorithm:"rv" ~seed () ))
+             run_with ~fault:reorder ~fault_seed:(seed * 13) ~algorithm:"rv"
+               ~seed () ))
          (List.init 40 (fun i -> i)))
   in
   Alcotest.(check (list int))

@@ -3,7 +3,7 @@
 
 open Helpers
 module R = Relational
-module F = Core.Federation
+module S = Core.Scheduler
 
 (* Two sources: "hr" owns emp/dept, "sales" owns ord/cust. *)
 let emp = R.Schema.of_names "emp" [ "EID"; "DID" ]
@@ -45,43 +45,49 @@ let updates =
     ins "dept" [ 30; 100 ];
   ]
 
-let run ?policy algorithm =
-  F.run ?policy
+let run ?schedule ?(updates = updates) algorithm =
+  Core.Engine.run ?schedule
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~sources:(sources ()) ~views:[ v_hr; v_sales ] ~updates ()
+    ~sites:(fed_sites (sources ()))
+    ~views:(defs [ v_hr; v_sales ])
+    ~updates ()
 
 let eca_per_view_is_enough () =
   List.iter
-    (fun policy ->
-      let r = run ~policy "eca" in
+    (fun schedule ->
+      let r = run ~schedule "eca" in
       List.iter
         (fun (name, report) ->
           check_bool
             (name ^ " strongly consistent")
             true report.Core.Consistency.strongly_consistent;
           check_bag (name ^ " matches its source")
-            (List.assoc name r.F.final_source_views)
-            (List.assoc name r.F.final_mvs))
-        r.F.reports)
-    [ F.Drain_first; F.Updates_first; F.Random 5; F.Random 77 ]
+            (List.assoc name r.Core.Engine.final_source_views)
+            (List.assoc name r.Core.Engine.final_mvs))
+        r.Core.Engine.reports)
+    [ S.Best_case; S.Worst_case; S.Random 5; S.Random 77 ]
 
 let updates_route_to_owners () =
-  let r = run ~policy:F.Updates_first "eca" in
+  let r = run ~schedule:S.Worst_case "eca" in
   (* every update triggered exactly one query on its owning source's view *)
-  check_int "six updates" 6 r.F.metrics.Core.Metrics.updates;
-  check_int "one query per update" 6 r.F.metrics.Core.Metrics.queries_sent
+  check_int "six updates" 6 r.Core.Engine.metrics.Core.Metrics.updates;
+  check_int "one query per update" 6
+    r.Core.Engine.metrics.Core.Metrics.queries_sent
 
 let basic_still_anomalous_across_sources () =
   (* decoupling anomalies are per source; the conventional algorithm still
      breaks when updates race within one source *)
   let anomaly_updates = [ ins "cust" [ 7; 9 ]; ins "ord" [ 102; 7 ] ] in
   let r =
-    F.run ~policy:F.Updates_first
+    Core.Engine.run ~schedule:S.Worst_case
       ~creator:(Core.Registry.creator_exn "basic")
-      ~sources:(sources ()) ~views:[ v_sales ] ~updates:anomaly_updates ()
+      ~sites:(fed_sites (sources ()))
+      ~views:(defs [ v_sales ])
+      ~updates:anomaly_updates ()
   in
   check_bool "basic fails in a federation too" false
-    (List.assoc "ord_segment" r.F.reports).Core.Consistency.weakly_consistent
+    (List.assoc "ord_segment" r.Core.Engine.reports)
+      .Core.Consistency.weakly_consistent
 
 let cross_source_views_rejected () =
   let v_bad =
@@ -90,12 +96,13 @@ let cross_source_views_rejected () =
       ~cond:R.Predicate.True [ emp; cust ]
   in
   match
-    F.run
+    Core.Engine.run
       ~creator:(Core.Registry.creator_exn "eca")
-      ~sources:(sources ()) ~views:[ v_bad ] ~updates:[] ()
+      ~sites:(fed_sites (sources ()))
+      ~views:(defs [ v_bad ]) ~updates:[] ()
   with
-  | exception F.Federation_error _ -> ()
-  | _ -> Alcotest.fail "expected Federation_error"
+  | exception Core.Engine.Engine_error _ -> ()
+  | _ -> Alcotest.fail "expected Engine_error"
 
 (* The opt-in naive cross-source strategy: a view joining HR employees to
    sales customers on matching ids, spanning both sources. *)
@@ -105,45 +112,47 @@ let v_cross =
     ~cond:(R.Predicate.eq_attrs "emp.EID" "cust.CID")
     [ emp; cust ]
 
-let run_cross ~policy updates =
-  F.run ~policy ~allow_cross_source:true
+let run_cross ~schedule updates =
+  Core.Engine.run ~schedule ~allow_cross_source:true
     ~creator:(Core.Registry.creator_exn "fetch-join")
-    ~sources:(sources ()) ~views:[ v_cross ] ~updates ()
+    ~sites:(fed_sites (sources ()))
+    ~views:(defs [ v_cross ])
+    ~updates ()
 
 let fetch_join_converges_when_drained () =
   let updates =
     [ ins "emp" [ 7; 10 ]; ins "cust" [ 2; 9 ]; del "emp" [ 7; 10 ] ]
   in
-  let r = run_cross ~policy:F.Drain_first updates in
+  let r = run_cross ~schedule:S.Best_case updates in
   check_bool "convergent when every update drains" true
-    (List.assoc "cross" r.F.reports).Core.Consistency.convergent;
+    (List.assoc "cross" r.Core.Engine.reports).Core.Consistency.convergent;
   check_bag "matches the merged global state"
-    (List.assoc "cross" r.F.final_source_views)
-    (List.assoc "cross" r.F.final_mvs)
+    (List.assoc "cross" r.Core.Engine.final_source_views)
+    (List.assoc "cross" r.Core.Engine.final_mvs)
 
 let fetch_join_anomalous_under_races () =
   (* insert emp[8,_] and cust[8,_] concurrently: each update's fetch of
      the OTHER source's relation is answered after both inserts, so both
      deltas observe the join partner and the tuple is double-counted. *)
   let updates = [ ins "emp" [ 8; 10 ]; ins "cust" [ 8; 1 ] ] in
-  let r = run_cross ~policy:F.Updates_first updates in
-  let report = List.assoc "cross" r.F.reports in
+  let r = run_cross ~schedule:S.Worst_case updates in
+  let report = List.assoc "cross" r.Core.Engine.reports in
   check_bool "not even weakly consistent" false
     report.Core.Consistency.weakly_consistent;
   check_bag "the racing tuple is double-counted"
     (R.Bag.add ~count:2 (R.Tuple.ints [ 8; 1 ])
        (bag [ [ 8; 2 ] ]))
-    (List.assoc "cross" r.F.final_mvs)
+    (List.assoc "cross" r.Core.Engine.final_mvs)
 
 let duplicate_ownership_rejected () =
   match
-    F.run
+    Core.Engine.run
       ~creator:(Core.Registry.creator_exn "eca")
-      ~sources:[ ("a", None, hr_db ()); ("b", None, hr_db ()) ]
-      ~views:[ v_hr ] ~updates:[] ()
+      ~sites:(fed_sites [ ("a", None, hr_db ()); ("b", None, hr_db ()) ])
+      ~views:(defs [ v_hr ]) ~updates:[] ()
   with
-  | exception F.Federation_error _ -> ()
-  | _ -> Alcotest.fail "expected Federation_error"
+  | exception Core.Engine.Engine_error _ -> ()
+  | _ -> Alcotest.fail "expected Engine_error"
 
 let federation_prop =
   QCheck.Test.make ~name:"random federated streams stay strongly consistent"
@@ -162,36 +171,36 @@ let federation_prop =
             | _ -> ins "cust" [ 300 + i; i ])
       in
       let r =
-        F.run ~policy:(F.Random seed)
-          ~creator:(Core.Registry.creator_exn "eca")
-          ~sources:(sources ()) ~views:[ v_hr; v_sales ] ~updates ()
+        run ~schedule:(S.Random seed) ~updates "eca"
       in
       List.for_all
         (fun (name, (report : Core.Consistency.report)) ->
           report.Core.Consistency.strongly_consistent
           && R.Bag.equal
-               (List.assoc name r.F.final_mvs)
-               (List.assoc name r.F.final_source_views))
-        r.F.reports)
+               (List.assoc name r.Core.Engine.final_mvs)
+               (List.assoc name r.Core.Engine.final_source_views))
+        r.Core.Engine.reports)
 
 let deferred_timing_flushes_at_quiescence () =
-  (* the federation's quiesce probe must flush warehouse-side buffers,
-     exactly like the single-source runner *)
+  (* the quiesce probe must flush warehouse-side buffers over several
+     sources, exactly as over one *)
   let r =
-    F.run ~policy:F.Updates_first
+    Core.Engine.run ~schedule:S.Worst_case
       ~creator:
         (Core.Timing.creator Core.Timing.Deferred
            (Core.Registry.creator_exn "eca"))
-      ~sources:(sources ()) ~views:[ v_hr; v_sales ] ~updates ()
+      ~sites:(fed_sites (sources ()))
+      ~views:(defs [ v_hr; v_sales ])
+      ~updates ()
   in
   List.iter
     (fun (name, (report : Core.Consistency.report)) ->
       check_bool (name ^ " converges via the probe") true
         report.Core.Consistency.convergent;
       check_bag (name ^ " matches its source")
-        (List.assoc name r.F.final_source_views)
-        (List.assoc name r.F.final_mvs))
-    r.F.reports
+        (List.assoc name r.Core.Engine.final_source_views)
+        (List.assoc name r.Core.Engine.final_mvs))
+    r.Core.Engine.reports
 
 let suite =
   [

@@ -9,16 +9,16 @@ module R = Relational
 let json_covers_all_entry_kinds () =
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []) ] in
   let result =
-    Core.Runner.run ~schedule:Core.Scheduler.Worst_case ~batch_size:2
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case ~batch_size:2
       ~rv_period:3
       ~creator:(Core.Registry.creator_exn "rv")
-      ~views:[ view_w () ] ~db
+      ~sites:[ source_site db ] ~views:(defs [ view_w () ])
       ~updates:[ ins "r2" [ 2; 3 ]; ins "r2" [ 2; 4 ] ]
       ()
   in
   (* rv with period 3 and k=2 forces a quiesce-probe recompute; batch=2
      forces a Batch note; so the trace has every entry kind *)
-  let entries = Core.Trace.entries result.Core.Runner.trace in
+  let entries = Core.Trace.entries result.Core.Engine.trace in
   let kinds =
     List.sort_uniq String.compare
       (List.map
@@ -85,16 +85,17 @@ DELETE FROM a VALUES (1, 5);
   in
   let db = R.Script.initial_db script in
   let result =
-    Core.Runner.run_defs ~schedule:Core.Scheduler.Worst_case
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
       ~creator:(Core.Registry.creator_exn "eca")
-      ~views:script.R.Script.views ~db ~updates:script.R.Script.updates ()
+      ~sites:[ source_site db ]
+      ~views:script.R.Script.views ~updates:script.R.Script.updates ()
   in
   (* final: a = {(3,20)}, b = {(2,0),(1,1)}; u = {3} + {2,1} - {3} = {1,2} *)
   check_bag "compound script maintained"
     (bag [ [ 1 ]; [ 2 ] ])
-    (List.assoc "u" result.Core.Runner.final_mvs);
+    (List.assoc "u" result.Core.Engine.final_mvs);
   check_bool "strongly consistent" true
-    (List.assoc "u" result.Core.Runner.reports)
+    (List.assoc "u" result.Core.Engine.reports)
       .Core.Consistency.strongly_consistent
 
 let federation_with_other_algorithms () =
@@ -113,13 +114,13 @@ let federation_with_other_algorithms () =
   List.iter
     (fun algorithm ->
       let r =
-        Core.Federation.run ~policy:Core.Federation.Updates_first
+        Core.Engine.run ~schedule:Core.Scheduler.Worst_case
           ~creator:(Core.Registry.creator_exn algorithm)
-          ~sources:[ ("hr", None, hr) ]
-          ~views:[ v ] ~updates ()
+          ~sites:(fed_sites [ ("hr", None, hr) ])
+          ~views:(defs [ v ]) ~updates ()
       in
       check_bag (algorithm ^ " correct in a federation") R.Bag.empty
-        (List.assoc "v" r.Core.Federation.final_mvs))
+        (List.assoc "v" r.Core.Engine.final_mvs))
     [ "eca"; "lca"; "sc"; "rv" ]
 
 let timing_wraps_ecak () =
@@ -127,30 +128,30 @@ let timing_wraps_ecak () =
   let view = view_wy ~r1:r1_wkey ~r2:r2_ykey () in
   let updates = [ ins "r2" [ 2; 4 ]; del "r1" [ 1; 2 ]; ins "r1" [ 5; 2 ] ] in
   let result =
-    Core.Runner.run ~schedule:Core.Scheduler.Worst_case
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
       ~creator:
         (Core.Timing.creator (Core.Timing.Periodic 2)
            (Core.Registry.creator_exn "eca-key"))
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
   in
   let truth = R.Eval.view (R.Db.apply_all db updates) view in
   check_bag "periodic ECAK correct" truth
-    (List.assoc "V" result.Core.Runner.final_mvs)
+    (List.assoc "V" result.Core.Engine.final_mvs)
 
 let quiesce_probe_installs_are_tracked () =
   (* deferred timing installs at the quiesce probe; the trace must carry
      those installs so the checkers see the state *)
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []) ] in
   let result =
-    Core.Runner.run
+    Core.Engine.run
       ~creator:
         (Core.Timing.creator Core.Timing.Deferred
            (Core.Registry.creator_exn "eca"))
-      ~views:[ view_w () ] ~db
+      ~sites:[ source_site db ] ~views:(defs [ view_w () ])
       ~updates:[ ins "r2" [ 2; 3 ] ]
       ()
   in
-  let states = Core.Trace.warehouse_states result.Core.Runner.trace "V" in
+  let states = Core.Trace.warehouse_states result.Core.Engine.trace "V" in
   check_bag "final deferred state recorded" (bag [ [ 1 ] ])
     (List.nth states (List.length states - 1))
 

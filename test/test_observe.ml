@@ -82,29 +82,37 @@ let read_lines path =
 (* Shared run configs                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_chaos ?(reliable = true) ?observe ?trace_out ~algorithm ~seed () =
+let run_chaos ?(reliable = true) ?observe ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.example6
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.6 ~seed ())
   in
-  Core.Runner.run ~fault:Workload.Scenarios.chaos_profile
-    ~fault_seed:(seed * 7) ~reliable
+  Core.Engine.run
     ~schedule:(Core.Scheduler.Random seed)
-    ?observe ?trace_out
+    ?observe
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~views:[ view ] ~db ~updates ()
+    ~sites:
+      [
+        Core.Engine.site ~fault:Workload.Scenarios.chaos_profile
+          ~fault_seed:(seed * 7) ~reliable ~name:"source" db;
+      ]
+    ~views:(defs [ view ]) ~updates ()
 
 let run_keyed_chaos ?observe ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
     Workload.Scenarios.keyed
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.5 ~seed ())
   in
-  Core.Runner.run ~fault:Workload.Scenarios.chaos_profile
-    ~fault_seed:(seed * 7) ~reliable:true
+  Core.Engine.run
     ~schedule:(Core.Scheduler.Random seed)
     ?observe
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~views:[ view ] ~db ~updates ()
+    ~sites:
+      [
+        Core.Engine.site ~fault:Workload.Scenarios.chaos_profile
+          ~fault_seed:(seed * 7) ~reliable:true ~name:"source" db;
+      ]
+    ~views:(defs [ view ]) ~updates ()
 
 let observe_of (m : Core.Metrics.t) =
   match m.Core.Metrics.observe with
@@ -115,20 +123,22 @@ let observe_of (m : Core.Metrics.t) =
 (* Spans off = byte-identical output; goldens stay pinned              *)
 (* ------------------------------------------------------------------ *)
 
-let scrub (r : Core.Runner.result) =
+let scrub (r : Core.Engine.result) =
   {
     r with
-    Core.Runner.metrics =
-      { r.Core.Runner.metrics with Core.Metrics.observe = None };
+    Core.Engine.metrics =
+      { r.Core.Engine.metrics with Core.Metrics.observe = None };
   }
 
 let spans_off_is_byte_identical () =
   let off = run_chaos ~algorithm:"eca" ~seed:5 () in
-  let on = run_chaos ~observe:true ~algorithm:"eca" ~seed:5 () in
+  let on =
+    run_chaos ~observe:(O.Collector.create ()) ~algorithm:"eca" ~seed:5 ()
+  in
   check_bool "observed run carries a summary" true
-    (on.Core.Runner.metrics.Core.Metrics.observe <> None);
+    (on.Core.Engine.metrics.Core.Metrics.observe <> None);
   check_bool "unobserved run carries none" true
-    (off.Core.Runner.metrics.Core.Metrics.observe = None);
+    (off.Core.Engine.metrics.Core.Metrics.observe = None);
   Alcotest.(check string)
     "erasing the summary leaves the two runs byte-identical"
     (Core.Json_export.result off)
@@ -198,20 +208,24 @@ let fed3_updates =
     del "itm" [ 1; 3 ];
   ]
 
-let run_fed3 ~trace_out () =
-  Core.Federation.run
-    ~policy:(Core.Federation.Random 11)
-    ~fault:Workload.Scenarios.chaos_profile ~fault_seed:9 ~reliable:true
-    ~trace_out
+let run_fed3 ~observe () =
+  Core.Engine.run
+    ~schedule:(Core.Scheduler.Random 11)
+    ~observe
     ~creator:(Core.Registry.creator_exn "eca")
-    ~sources:(fed3_sources ()) ~views:fed3_views ~updates:fed3_updates ()
+    ~sites:
+      (fed_sites ~fault:Workload.Scenarios.chaos_profile ~fault_seed:9
+         ~reliable:true (fed3_sources ()))
+    ~views:(defs fed3_views) ~updates:fed3_updates ()
 
 let jsonl_trace_validates () =
   let path = Filename.temp_file "vmw_trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let result = run_fed3 ~trace_out:path () in
+      let observe = O.Collector.create () in
+      let result = run_fed3 ~observe () in
+      O.Collector.write_file path observe;
       match read_lines path with
       | [] -> Alcotest.fail "trace file is empty"
       | meta :: events ->
@@ -278,7 +292,7 @@ let jsonl_trace_validates () =
             check_bool "staleness is non-negative" true
               (int_field g "value" >= 0))
           gauges;
-        let o = observe_of result.Core.Federation.metrics in
+        let o = observe_of result.Core.Engine.metrics in
         check_int "summary agrees with the trace" (List.length spans)
           o.Core.Metrics.spans;
         List.iter
@@ -296,21 +310,25 @@ let seeds = List.init 40 (fun i -> i)
 let staleness_tracks_the_oracle () =
   List.iter
     (fun reliable ->
+      (* runs fan out over the pool; the summary is read (and checked
+         present) back in the calling domain *)
       let swept =
-        par_map
-          (fun seed ->
-            let r = run_chaos ~reliable ~observe:true ~algorithm:"eca" ~seed () in
+        List.map
+          (fun (seed, (r : Core.Engine.result)) ->
             let diverged =
               not
                 (R.Bag.equal
-                   (List.assoc "V" r.Core.Runner.final_mvs)
-                   (List.assoc "V" r.Core.Runner.final_source_views))
+                   (List.assoc "V" r.Core.Engine.final_mvs)
+                   (List.assoc "V" r.Core.Engine.final_source_views))
             in
-            let s =
-              List.assoc "V" (observe_of r.Core.Runner.metrics).Core.Metrics.staleness
-            in
-            (seed, diverged, s))
-          seeds
+            let o = observe_of r.Core.Engine.metrics in
+            (seed, diverged, List.assoc "V" o.Core.Metrics.staleness))
+          (par_map
+             (fun seed ->
+               ( seed,
+                 run_chaos ~reliable ~observe:(O.Collector.create ())
+                   ~algorithm:"eca" ~seed () ))
+             seeds)
       in
       List.iter
         (fun (seed, diverged, s) ->
@@ -343,11 +361,15 @@ let staleness_tracks_the_oracle () =
 
 let eca_family_fresh_at_quiescence () =
   List.iter
-    (fun (algorithm, runner) ->
+    (fun (algorithm, keyed) ->
       List.iter
         (fun seed ->
-          let r : Core.Runner.result = runner ~algorithm ~seed in
-          let m = r.Core.Runner.metrics in
+          let observe = O.Collector.create () in
+          let r =
+            if keyed then run_keyed_chaos ~observe ~algorithm ~seed ()
+            else run_chaos ~observe ~algorithm ~seed ()
+          in
+          let m = r.Core.Engine.metrics in
           let o = observe_of m in
           List.iter
             (fun (v, s) ->
@@ -368,14 +390,7 @@ let eca_family_fresh_at_quiescence () =
                algorithm seed)
             0 o.Core.Metrics.span_forced)
         [ 0; 7; 19 ])
-    [
-      ("eca", fun ~algorithm ~seed -> run_chaos ~observe:true ~algorithm ~seed ());
-      ( "eca-local",
-        fun ~algorithm ~seed -> run_chaos ~observe:true ~algorithm ~seed () );
-      ( "eca-key",
-        fun ~algorithm ~seed -> run_keyed_chaos ~observe:true ~algorithm ~seed ()
-      );
-    ]
+    [ ("eca", false); ("eca-local", false); ("eca-key", true) ]
 
 let suite =
   [

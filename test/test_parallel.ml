@@ -217,15 +217,15 @@ let sharded_run_is_deterministic () =
       w.Workload.Scenarios.sources
   in
   let run shard =
-    Core.Federation.run ?shard
-      ~policy:(Core.Federation.Random 9)
+    Core.Engine.run ?shard
+      ~schedule:(Core.Scheduler.Random 9)
       ~creator:(Core.Registry.creator_exn "eca")
-      ~sources:w.Workload.Scenarios.sources
-      ~views:(w.Workload.Scenarios.views @ extra_views)
+      ~sites:(fed_sites w.Workload.Scenarios.sources)
+      ~views:(defs (w.Workload.Scenarios.views @ extra_views))
       ~updates:w.Workload.Scenarios.updates ()
   in
   let base = run None in
-  check_int "twelve views maintained" 12 (List.length base.Core.Federation.reports);
+  check_int "twelve views maintained" 12 (List.length base.Core.Engine.reports);
   List.iter
     (fun workers ->
       P.with_pool ~workers (fun pool ->
@@ -234,13 +234,13 @@ let sharded_run_is_deterministic () =
           List.iter
             (fun (view, b) ->
               check_bag (label view) b
-                (List.assoc view r.Core.Federation.final_mvs))
-            base.Core.Federation.final_mvs;
+                (List.assoc view r.Core.Engine.final_mvs))
+            base.Core.Engine.final_mvs;
           Alcotest.(check (list (pair string report_testable)))
-            (label "reports") base.Core.Federation.reports
-            r.Core.Federation.reports;
+            (label "reports") base.Core.Engine.reports
+            r.Core.Engine.reports;
           check_bool (label "metrics identical") true
-            (base.Core.Federation.metrics = r.Core.Federation.metrics)))
+            (base.Core.Engine.metrics = r.Core.Engine.metrics)))
     [ 1; 4 ]
 
 let suite =

@@ -147,9 +147,10 @@ let roundtrip_example2 () =
   let s = R.Parser.parse_script sample_script in
   let db = R.Script.initial_db s in
   let result =
-    Core.Runner.run_defs ~schedule:(explicit "AWAWSWSW")
+    Core.Engine.run ~schedule:(explicit "AWAWSWSW")
       ~creator:(Core.Registry.creator_exn "basic")
-      ~views:s.R.Script.views ~db ~updates:s.R.Script.updates ()
+      ~sites:[ source_site db ]
+      ~views:s.R.Script.views ~updates:s.R.Script.updates ()
   in
   check_bag "anomalous view from script"
     (bag [ [ 1 ]; [ 4 ]; [ 4 ] ])

@@ -114,13 +114,13 @@ let check_algorithm ~wants_complete algorithm (view, db, updates, seed) =
       let result =
         run ~algorithm ~schedule ~views:[ view ] ~db ~updates ()
       in
-      let report = List.assoc "RV" result.Core.Runner.reports in
+      let report = List.assoc "RV" result.Core.Engine.reports in
       let level =
         if wants_complete then report.Core.Consistency.complete
         else report.Core.Consistency.strongly_consistent
       in
       level
-      && R.Bag.equal expected (List.assoc "RV" result.Core.Runner.final_mvs))
+      && R.Bag.equal expected (List.assoc "RV" result.Core.Engine.final_mvs))
     [
       Core.Scheduler.Best_case;
       Core.Scheduler.Worst_case;
@@ -159,13 +159,13 @@ let eca_batched_random_views =
       List.for_all
         (fun batch_size ->
           let result =
-            Core.Runner.run ~schedule:(Core.Scheduler.Random seed) ~batch_size
+            Core.Engine.run ~schedule:(Core.Scheduler.Random seed) ~batch_size
               ~creator:(Core.Registry.creator_exn "eca")
-              ~views:[ view ] ~db ~updates ()
+              ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
           in
-          let report = List.assoc "RV" result.Core.Runner.reports in
+          let report = List.assoc "RV" result.Core.Engine.reports in
           report.Core.Consistency.strongly_consistent
-          && R.Bag.equal expected (List.assoc "RV" result.Core.Runner.final_mvs))
+          && R.Bag.equal expected (List.assoc "RV" result.Core.Engine.final_mvs))
         [ 2; 4 ])
 
 let suite =

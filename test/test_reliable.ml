@@ -13,17 +13,19 @@ let payload_id = function
   | M.Message.Update_note u -> (
     match R.Tuple.get u.R.Update.tuple 0 with
     | R.Value.Int i -> i
-    | _ -> Alcotest.fail "unexpected payload value")
-  | msg -> Alcotest.failf "unexpected message kind %s" (M.Message.kind_name msg)
+    | _ -> failwith "unexpected payload value")
+  | msg -> failwith ("unexpected message kind " ^ M.Message.kind_name msg)
 
 (* Pump a network until nothing is deliverable and nothing is in flight,
-   collecting delivered payload ids per direction. *)
+   collecting delivered payload ids per direction. It runs inside
+   [par_map] workers, so it raises plain exceptions, never Alcotest
+   failures. *)
 let drive net =
   let wh = ref [] and src = ref [] in
   let steps = ref 0 in
   let rec go () =
     incr steps;
-    if !steps > 200_000 then Alcotest.fail "drive: transport never settled";
+    if !steps > 200_000 then failwith "drive: transport never settled";
     if M.Network.can_receive net M.Network.To_warehouse then begin
       (match M.Network.receive net M.Network.To_warehouse with
        | Some msg -> wh := payload_id msg :: !wh
@@ -44,6 +46,8 @@ let drive net =
   go ();
   (List.rev !wh, List.rev !src)
 
+(* Both streams of a reliable network over [fault], as delivered, plus
+   whether the transport is idle once drained. *)
 let exactly_once_fifo ~fault ~seed ~n =
   let net = M.Network.create ~fault ~seed ~reliable:true () in
   for i = 0 to n - 1 do
@@ -51,22 +55,27 @@ let exactly_once_fifo ~fault ~seed ~n =
     M.Network.send net M.Network.To_source (payload (1000 + i))
   done;
   let wh, src = drive net in
-  Alcotest.(check (list int))
-    "to-warehouse stream is exactly-once FIFO"
-    (List.init n (fun i -> i))
-    wh;
-  Alcotest.(check (list int))
-    "to-source stream is exactly-once FIFO"
-    (List.init n (fun i -> 1000 + i))
-    src;
-  check_bool "transport idle once drained" true (M.Network.idle net)
+  (wh, src, M.Network.idle net)
 
 let every_profile_delivers_exactly_once () =
-  (* profile × seed cells are independent; fan the matrix over the pool
-     (failures propagate from Helpers.par_map in matrix order). *)
-  ignore
+  (* profile × seed cells are independent: fan the matrix over the pool,
+     then check in the calling domain, in matrix order. *)
+  let n = 12 in
+  List.iter
+    (fun ((name, seed), (wh, src, idle)) ->
+      let label what = Printf.sprintf "%s seed %d: %s" name seed what in
+      Alcotest.(check (list int))
+        (label "to-warehouse stream is exactly-once FIFO")
+        (List.init n (fun i -> i))
+        wh;
+      Alcotest.(check (list int))
+        (label "to-source stream is exactly-once FIFO")
+        (List.init n (fun i -> 1000 + i))
+        src;
+      check_bool (label "transport idle once drained") true idle)
     (par_map
-       (fun ((_name, fault), seed) -> exactly_once_fifo ~fault ~seed ~n:12)
+       (fun ((name, fault), seed) ->
+         ((name, seed), exactly_once_fifo ~fault ~seed ~n))
        (List.concat_map
           (fun profile -> List.map (fun seed -> (profile, seed)) [ 0; 1; 7; 42 ])
           Workload.Scenarios.fault_profiles))
@@ -150,13 +159,18 @@ let run_example6 ?fault ?(reliable = false) ~algorithm ~seed () =
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.6 ~seed ())
   in
   let result =
-    Core.Runner.run ?fault ~fault_seed:(seed * 7) ~reliable
+    Core.Engine.run
       ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:
+        [
+          Core.Engine.site ?fault ~fault_seed:(seed * 7) ~reliable
+            ~name:"source" db;
+        ]
+      ~views:(defs [ view ]) ~updates ()
   in
   let truth = R.Eval.view (R.Db.apply_all db updates) view in
-  (R.Bag.equal truth (List.assoc "V" result.Core.Runner.final_mvs), result)
+  (R.Bag.equal truth (List.assoc "V" result.Core.Engine.final_mvs), result)
 
 let run_keyed ?fault ?(reliable = false) ~algorithm ~seed () =
   let { Workload.Scenarios.db; view; updates } =
@@ -164,13 +178,18 @@ let run_keyed ?fault ?(reliable = false) ~algorithm ~seed () =
       (Workload.Spec.make ~c:12 ~j:3 ~k_updates:8 ~insert_ratio:0.5 ~seed ())
   in
   let result =
-    Core.Runner.run ?fault ~fault_seed:(seed * 7) ~reliable
+    Core.Engine.run
       ~schedule:(Core.Scheduler.Random seed)
       ~creator:(Core.Registry.creator_exn algorithm)
-      ~views:[ view ] ~db ~updates ()
+      ~sites:
+        [
+          Core.Engine.site ?fault ~fault_seed:(seed * 7) ~reliable
+            ~name:"source" db;
+        ]
+      ~views:(defs [ view ]) ~updates ()
   in
   let truth = R.Eval.view (R.Db.apply_all db updates) view in
-  (R.Bag.equal truth (List.assoc "VK" result.Core.Runner.final_mvs), result)
+  (R.Bag.equal truth (List.assoc "VK" result.Core.Engine.final_mvs), result)
 
 let seeds = List.init 40 (fun i -> i)
 
@@ -182,8 +201,8 @@ let family_correct_over_reliable_chaos () =
       let swept =
         par_map
           (fun seed ->
-            let ok, (result : Core.Runner.result) = runner ~algorithm ~seed in
-            (seed, ok, result.Core.Runner.metrics.Core.Metrics.delivery))
+            let ok, (result : Core.Engine.result) = runner ~algorithm ~seed in
+            (seed, ok, result.Core.Engine.metrics.Core.Metrics.delivery))
           seeds
       in
       let retransmits = ref 0 and dups = ref 0 and dropped = ref 0 in

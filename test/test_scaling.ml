@@ -7,26 +7,26 @@
 
 open Helpers
 module R = Relational
-module F = Core.Federation
+module S = Core.Scheduler
 module M = Core.Metrics
 module W = Workload
 
 let scaled = W.Scenarios.scaled
 
-let run_scaled ?policy ?fault ?fault_seed ?reliable ?batch_size ?coalesce
+let run_scaled ?schedule ?fault ?fault_seed ?reliable ?batch_size ?coalesce
     ?shard ?track_scale ?(algorithm = "eca") (w : W.Scenarios.scaled) =
-  F.run ?policy ?fault ?fault_seed ?reliable ?batch_size ?coalesce ?shard
-    ?track_scale
+  Core.Engine.run ?schedule ?batch_size ?coalesce ?shard ?track_scale
     ~creator:(Core.Registry.creator_exn algorithm)
-    ~sources:w.W.Scenarios.sources ~views:w.W.Scenarios.views
+    ~sites:(fed_sites ?fault ?fault_seed ?reliable w.W.Scenarios.sources)
+    ~views:(defs w.W.Scenarios.views)
     ~updates:w.W.Scenarios.updates ()
 
-let scale_of (r : F.result) =
-  match r.F.metrics.M.scale with
+let scale_of (r : Core.Engine.result) =
+  match r.Core.Engine.metrics.M.scale with
   | Some s -> s
   | None -> Alcotest.fail "expected metrics.scale (track_scale was on)"
 
-let check_exact name (r : F.result) =
+let check_exact name (r : Core.Engine.result) =
   List.iter
     (fun (view, report) ->
       check_bool
@@ -34,9 +34,9 @@ let check_exact name (r : F.result) =
         true report.Core.Consistency.strongly_consistent;
       check_bag
         (Printf.sprintf "%s: %s matches its source" name view)
-        (List.assoc view r.F.final_source_views)
-        (List.assoc view r.F.final_mvs))
-    r.F.reports
+        (List.assoc view r.Core.Engine.final_source_views)
+        (List.assoc view r.Core.Engine.final_mvs))
+    r.Core.Engine.reports
 
 (* --- the generator itself --------------------------------------------- *)
 
@@ -98,7 +98,7 @@ let sweep () =
     let w = scaled ~c:3 ~updates_per_source:2 ~skew ~seed:k ~n:10 () in
     let r =
       run_scaled
-        ~policy:(F.Random (1000 + k))
+        ~schedule:(S.Random (1000 + k))
         ~fault:profile ~fault_seed:(31 * k) ~reliable ~algorithm w
     in
     check_exact
@@ -108,7 +108,7 @@ let sweep () =
     check_int
       (Printf.sprintf "seed %d: every update executed" k)
       (List.length w.W.Scenarios.updates)
-      r.F.metrics.M.updates
+      r.Core.Engine.metrics.M.updates
   done
 
 (* --- per-edge coalescing ----------------------------------------------- *)
@@ -134,11 +134,13 @@ let coalescing_reduces_messages () =
   List.iter
     (fun (view, b) ->
       check_bag ("coalescing preserves " ^ view) b
-        (List.assoc view coalesced.F.final_mvs))
-    plain.F.final_mvs;
-  check_int "same updates executed" plain.F.metrics.M.updates
-    coalesced.F.metrics.M.updates;
-  let wire (r : F.result) = r.F.metrics.M.delivery.M.wire_messages in
+        (List.assoc view coalesced.Core.Engine.final_mvs))
+    plain.Core.Engine.final_mvs;
+  check_int "same updates executed" plain.Core.Engine.metrics.M.updates
+    coalesced.Core.Engine.metrics.M.updates;
+  let wire (r : Core.Engine.result) =
+    r.Core.Engine.metrics.M.delivery.M.wire_messages
+  in
   check_bool
     (Printf.sprintf "strictly fewer frames shipped (%d < %d)" (wire coalesced)
        (wire plain))
@@ -170,9 +172,9 @@ let hot_workload ?(updates_per_source = 6) () =
 
 let backpressure_bounds_inflight () =
   let w = hot_workload () in
-  let unbounded = run_scaled ~policy:F.Updates_first ~track_scale:true w in
+  let unbounded = run_scaled ~schedule:S.Worst_case ~track_scale:true w in
   let bounded =
-    run_scaled ~policy:(F.Bounded_inflight 2) ~track_scale:true w
+    run_scaled ~schedule:(S.Bounded_inflight 2) ~track_scale:true w
   in
   check_exact "bounded run stays exact" bounded;
   let peak r = (scale_of r).M.inflight_max in
@@ -191,7 +193,7 @@ let weighted_fair_stays_exact () =
   List.iter
     (fun quantum ->
       let r =
-        run_scaled ~policy:(F.Weighted_fair quantum) ~track_scale:true w
+        run_scaled ~schedule:(S.Weighted_fair quantum) ~track_scale:true w
       in
       check_exact (Printf.sprintf "weighted-fair q=%d" quantum) r)
     [ 1; 2; 4 ]
@@ -215,7 +217,7 @@ let active_set_stays_small () =
      sources exist: the active set — what each scheduler pick and each
      transport tick iterate — must not grow with N. *)
   let w = scaled ~c:2 ~updates_per_source:1 ~seed:3 ~n:100 () in
-  let r = run_scaled ~policy:F.Drain_first ~track_scale:true w in
+  let r = run_scaled ~schedule:S.Best_case ~track_scale:true w in
   check_exact "100 sources, drained" r;
   check_bool
     (Printf.sprintf "active_max independent of N (%d <= 2)"
@@ -229,8 +231,8 @@ let step_count_scales_with_updates_not_sources () =
      rebuild this engine used to pay. *)
   let steps n updates_per_source =
     let w = scaled ~c:2 ~updates_per_source ~seed:3 ~n () in
-    let r = run_scaled ~policy:F.Drain_first w in
-    (r.F.metrics.M.steps, r.F.metrics.M.updates)
+    let r = run_scaled ~schedule:S.Best_case w in
+    (r.Core.Engine.metrics.M.steps, r.Core.Engine.metrics.M.updates)
   in
   let s10, u10 = steps 10 10 in
   let s100, u100 = steps 100 1 in

@@ -19,8 +19,10 @@ let run_lag ?(schedule = Core.Scheduler.Best_case) ?timing ~algorithm k =
     | Some mode -> Core.Timing.creator mode creator
     | None -> creator
   in
-  let result = Core.Runner.run ~schedule ~creator ~views:[ view ] ~db ~updates () in
-  Core.Staleness.of_trace result.Core.Runner.trace "V"
+  let result = Core.Engine.run ~schedule ~creator
+    ~sites:[ source_site db ]
+    ~views:(defs [ view ]) ~updates () in
+  Core.Staleness.of_trace result.Core.Engine.trace "V"
 
 let immediate_best_case_is_fresh () =
   let lag = run_lag ~algorithm:"eca" 10 in
@@ -71,11 +73,11 @@ let lca_fresh_under_drain () =
 let empty_run () =
   let db, view, _ = setup 0 in
   let result =
-    Core.Runner.run
+    Core.Engine.run
       ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ view ] ~db ~updates:[] ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates:[] ()
   in
-  let lag = Core.Staleness.of_trace result.Core.Runner.trace "V" in
+  let lag = Core.Staleness.of_trace result.Core.Engine.trace "V" in
   check_int "no samples" 0 lag.Core.Staleness.samples;
   check_int "fresh" 0 lag.Core.Staleness.final_lag
 

@@ -127,12 +127,12 @@ let skewed_workloads_still_run () =
   let spec = W.Spec.make ~c:40 ~j:4 ~k_updates:10 ~skew:1.5 ~seed:6 () in
   let { W.Scenarios.db; view; updates } = W.Scenarios.example6 spec in
   let r =
-    Core.Runner.run ~schedule:Core.Scheduler.Worst_case
+    Core.Engine.run ~schedule:Core.Scheduler.Worst_case
       ~creator:(Core.Registry.creator_exn "eca")
-      ~views:[ view ] ~db ~updates ()
+      ~sites:[ source_site db ] ~views:(defs [ view ]) ~updates ()
   in
   check_bool "strongly consistent under skew" true
-    (List.assoc "V" r.Core.Runner.reports).Core.Consistency.strongly_consistent;
+    (List.assoc "V" r.Core.Engine.reports).Core.Consistency.strongly_consistent;
   (* skew must raise the hottest value's fan-out above the uniform J *)
   let hottest rel attr =
     let schema = R.Db.schema db rel in
