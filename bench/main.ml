@@ -838,7 +838,7 @@ let ablation_scan_sharing () =
         let r =
           Core.Engine.run ~schedule ?rv_period
             ~creator:(Core.Registry.creator_exn algorithm)
-            ~views ~sites:[ source_site ~catalog db ] ~updates ()
+            ~sites:[ source_site ~catalog db ] ~views ~updates ()
         in
         r.Core.Engine.metrics.Core.Metrics.source_io
       in
