@@ -44,6 +44,16 @@ let fed_sites ?fault ?(fault_seed = 0) ?reliable sources =
 let collector observe =
   if observe then Some (Observe.Collector.create ()) else None
 
+(* The worst staleness any view of an observed run showed at a quiescence
+   probe: 0 is the strong-consistency signature of the ECA rungs. *)
+let stale_quiesce_max ~section (m : Core.Metrics.t) =
+  match m.Core.Metrics.observe with
+  | None -> failwith (section ^ ": observed cell carries no gauges")
+  | Some o ->
+    List.fold_left
+      (fun acc (_, g) -> max acc g.Core.Metrics.stale_quiesce_max)
+      0 o.Core.Metrics.staleness
+
 (* ------------------------------------------------------------------ *)
 (* Parallelism knob                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -79,8 +89,8 @@ let pool = Parallel.Pool.create ~workers ()
 (* Every measured simulator run is appended here and dumped as
    BENCH_results.json at the end — one record per run, grouped by the
    section (figure/table/ablation) that requested it. The schema is
-   documented in EXPERIMENTS.md; scripts/perf_guard.sh greps the
-   "total_wall_clock_s" line to detect wall-clock regressions. *)
+   documented in EXPERIMENTS.md; scripts/perf_guard.sh reads only the
+   "gates" table, the top-level object keys and the run figures. *)
 type json_run = {
   r_figure : string;  (* section header active when the run executed *)
   r_algorithm : string;  (* algorithm plus schedule/period qualifiers *)
@@ -119,19 +129,6 @@ let algo_label ?rv_period ~schedule algorithm =
     | Some p -> Printf.sprintf "[p=%d]" p
     | None -> "")
   ^ schedule_label schedule
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Wall clock of `bench/main.exe quick` at the pre-plan-compilation seed
    (list-based bags, per-call term analysis, recomputing oracle), kept in
@@ -175,41 +172,28 @@ let scan_json_float ~field path =
 let seed_quick_wall_clock_s =
   scan_json_float ~field:"seed_quick_wall_clock_s" "bench/baseline.json"
 
-(* Pre-rendered JSON for the top-level "observe" object (schema v5),
-   filled by [ablation_observe]. Rendered once there so the writer stays
-   a dumb serializer. *)
-let observe_json : string option ref = ref None
+(* The top-level objects of BENCH_results.json, in emission order, each
+   pre-rendered by the section named after it so the writer stays a dumb
+   serializer. "observe" opens check_determinism.sh's normalization
+   window, which runs to the end of the file. *)
+let sections =
+  List.map
+    (fun name -> (name, ref None))
+    [ "observe"; "throughput"; "catalog"; "scaling"; "selfmaint"; "evolution" ]
 
-(* Likewise for the top-level "throughput" object (schema v6), filled by
-   [bench_throughput]. Emitted after "observe" so check_determinism.sh's
-   normalization window covers both. *)
-let throughput_json : string option ref = ref None
+let set_section name json = List.assoc name sections := Some json
 
-(* And for the top-level "catalog" object (schema v7), filled by
-   [bench_catalog]: the multi-view warehouse matrix with its shared-delta
-   (MQO) savings and per-rung staleness. Emitted after "throughput", so
-   the same normalization window covers it. *)
-let catalog_json : string option ref = ref None
+(* The gate table: every perf claim scripts/perf_guard.sh enforces, with
+   its bound. A [Baseline_x f] bound is [f] times the same gate's value
+   in the baseline file. Correctness claims are not gates: the bench
+   fails outright (failwith) before it writes anything. *)
+type bound =
+  | Absolute of float
+  | Baseline_x of float
 
-(* And for the top-level "scaling" object (schema v8), filled by
-   [bench_scaling]: the N-source matrix (O(active) event loop, per-edge
-   coalescing, backpressure) — emitted after "catalog" inside the same
-   normalization window. Its *_wall_clock_s fields are timing and get
-   zeroed by check_determinism.sh. *)
-let scaling_json : string option ref = ref None
+let gates : (string * float * string * bound) list ref = ref []
 
-(* And for the top-level "selfmaint" object (schema v9), filled by
-   [bench_selfmaint]: the ECA-SM matrix over the self-maintainable
-   family — M/B/IO against the query rungs and SC across the fault ×
-   channel grid — emitted after "scaling" inside the same normalization
-   window. *)
-let selfmaint_json : string option ref = ref None
-
-(* And for the top-level "evolution" object (schema v10), filled by
-   [bench_evolution]: online schema changes (DDL × fault × channel) and
-   the windowed-view counters — emitted after "selfmaint" inside the
-   same normalization window. *)
-let evolution_json : string option ref = ref None
+let gate ~name ~op bound value = gates := (name, value, op, bound) :: !gates
 
 let write_json ~path ~mode ~total_wall_s =
   let oc = open_out path in
@@ -220,41 +204,42 @@ let write_json ~path ~mode ~total_wall_s =
         List.fold_left (fun acc r -> acc +. r.r_wall_s) 0.0 !json_runs
       in
       Printf.fprintf oc "{\n";
-      Printf.fprintf oc "  \"schema_version\": 10,\n";
-      Printf.fprintf oc "  \"mode\": \"%s\",\n" (json_escape mode);
+      Printf.fprintf oc "  \"schema_version\": 11,\n";
+      Printf.fprintf oc "  \"mode\": %s,\n" (Core.Json_export.str mode);
       Printf.fprintf oc "  \"workers\": %d,\n" workers;
       Printf.fprintf oc "  \"total_wall_clock_s\": %.3f,\n" total_wall_s;
-      (* Summed per-run wall clock: the work done, independent of how many
-         domains it was spread over — what the perf guard compares. *)
-      Printf.fprintf oc "  \"sum_run_wall_clock_s\": %.3f,\n" sum_run_wall_s;
       (match seed_quick_wall_clock_s with
       | Some s -> Printf.fprintf oc "  \"seed_quick_wall_clock_s\": %.3f,\n" s
       | None -> ());
-      (match !observe_json with
-      | Some s -> Printf.fprintf oc "  \"observe\": %s,\n" s
-      | None -> ());
-      (match !throughput_json with
-      | Some s -> Printf.fprintf oc "  \"throughput\": %s,\n" s
-      | None -> ());
-      (match !catalog_json with
-      | Some s -> Printf.fprintf oc "  \"catalog\": %s,\n" s
-      | None -> ());
-      (match !scaling_json with
-      | Some s -> Printf.fprintf oc "  \"scaling\": %s,\n" s
-      | None -> ());
-      (match !selfmaint_json with
-      | Some s -> Printf.fprintf oc "  \"selfmaint\": %s,\n" s
-      | None -> ());
-      (match !evolution_json with
-      | Some s -> Printf.fprintf oc "  \"evolution\": %s,\n" s
-      | None -> ());
+      Printf.fprintf oc "  \"gates\": [";
+      List.iteri
+        (fun i (name, value, op, bound) ->
+          Printf.fprintf oc
+            "%s\n    { \"name\": %s, \"value\": %.6f, \"op\": %s, \"bound\": %s }"
+            (if i = 0 then "" else ",")
+            (Core.Json_export.str name) value (Core.Json_export.str op)
+            (match bound with
+            | Absolute b -> Printf.sprintf "%.1f" b
+            | Baseline_x f -> Printf.sprintf "{ \"baseline_x\": %.1f }" f))
+        (* Summed per-run wall clock: the work done, independent of how
+           many domains it was spread over, unlike total_wall_clock_s. *)
+        (("sum_run_wall_clock_s", sum_run_wall_s, "<=", Baseline_x 2.0)
+        :: List.rev !gates);
+      Printf.fprintf oc "\n  ],\n";
+      List.iter
+        (fun (name, json) ->
+          Option.iter
+            (Printf.fprintf oc "  %s: %s,\n" (Core.Json_export.str name))
+            !json)
+        sections;
       Printf.fprintf oc "  \"runs\": [";
       List.iteri
         (fun i r ->
-          Printf.fprintf oc "%s\n    { \"figure\": \"%s\", "
+          Printf.fprintf oc "%s\n    { \"figure\": %s, "
             (if i = 0 then "" else ",")
-            (json_escape r.r_figure);
-          Printf.fprintf oc "\"algorithm\": \"%s\", " (json_escape r.r_algorithm);
+            (Core.Json_export.str r.r_figure);
+          Printf.fprintf oc "\"algorithm\": %s, "
+            (Core.Json_export.str r.r_algorithm);
           Printf.fprintf oc
             "\"wall_clock_s\": %.6f, \"messages\": %d, \"answer_tuples\": %d, \
              \"bytes\": %d, \"source_io\": %d"
@@ -282,9 +267,9 @@ let write_json ~path ~mode ~total_wall_s =
              Printf.fprintf oc ", \"site_delivery\": [";
              List.iteri
                (fun j (site, d) ->
-                 Printf.fprintf oc "%s{ \"site\": \"%s\", \"delivery\": "
+                 Printf.fprintf oc "%s{ \"site\": %s, \"delivery\": "
                    (if j = 0 then "" else ", ")
-                   (json_escape site);
+                   (Core.Json_export.str site);
                  delivery_fields d;
                  Printf.fprintf oc " }")
                sites;
@@ -1032,36 +1017,37 @@ let ablation_observe () =
       (List.map
          (fun (v, s) ->
            Printf.sprintf
-             "{ \"view\": \"%s\", \"final\": %d, \"max\": %d, \
+             "{ \"view\": %s, \"final\": %d, \"max\": %d, \
               \"quiesce_max\": %d, \"samples\": %d }"
-             (json_escape v) s.Core.Metrics.stale_final s.Core.Metrics.stale_max
+             (Core.Json_export.str v) s.Core.Metrics.stale_final
+             s.Core.Metrics.stale_max
              s.Core.Metrics.stale_quiesce_max s.Core.Metrics.stale_samples)
          o.Core.Metrics.staleness)
   in
-  observe_json :=
-    Some
-      (Printf.sprintf
-         "{\n\
-         \    \"byte_identical_off\": %b,\n\
-         \    \"overhead_x\": %.3f,\n\
-         \    \"spans\": %d,\n\
-         \    \"span_forced\": %d,\n\
-         \    \"span_dropped\": %d,\n\
-         \    \"gauges\": %d,\n\
-         \    \"compensations\": %d,\n\
-         \    \"collect_installs\": %d,\n\
-         \    \"collect_depth_max\": %d,\n\
-         \    \"uqs_residency_samples\": %d,\n\
-         \    \"uqs_residency_mean\": %.3f,\n\
-         \    \"staleness\": [ %s ]\n\
-         \  }"
-         identical overhead o.Core.Metrics.spans o.Core.Metrics.span_forced
-         o.Core.Metrics.span_dropped o.Core.Metrics.gauges
-         o.Core.Metrics.compensations o.Core.Metrics.collect_installs
-         o.Core.Metrics.collect_depth_max
-         o.Core.Metrics.uqs_residency.Core.Metrics.samples
-         (Core.Metrics.hist_mean o.Core.Metrics.uqs_residency)
-         staleness_json)
+  gate ~name:"observe.overhead_x" ~op:"<=" (Absolute 2.0) overhead;
+  set_section "observe"
+    (Printf.sprintf
+       "{\n\
+       \    \"byte_identical_off\": %b,\n\
+       \    \"overhead_x\": %.3f,\n\
+       \    \"spans\": %d,\n\
+       \    \"span_forced\": %d,\n\
+       \    \"span_dropped\": %d,\n\
+       \    \"gauges\": %d,\n\
+       \    \"compensations\": %d,\n\
+       \    \"collect_installs\": %d,\n\
+       \    \"collect_depth_max\": %d,\n\
+       \    \"uqs_residency_samples\": %d,\n\
+       \    \"uqs_residency_mean\": %.3f,\n\
+       \    \"staleness\": [ %s ]\n\
+       \  }"
+       identical overhead o.Core.Metrics.spans o.Core.Metrics.span_forced
+       o.Core.Metrics.span_dropped o.Core.Metrics.gauges
+       o.Core.Metrics.compensations o.Core.Metrics.collect_installs
+       o.Core.Metrics.collect_depth_max
+       o.Core.Metrics.uqs_residency.Core.Metrics.samples
+       (Core.Metrics.hist_mean o.Core.Metrics.uqs_residency)
+       staleness_json)
 
 (* ------------------------------------------------------------------ *)
 (* Sustained throughput: compiled delta programs vs interpreted        *)
@@ -1075,8 +1061,9 @@ let ablation_observe () =
       scaffolding that costs the same on both paths — once with the
       staged delta programs (the default) and once interpreted
       ([Delta_program.set_compiled false]). Updates/sec of the compiled
-      leg is what scripts/perf_guard.sh gates; both legs must agree on
-      the final materialized view, replica and install count.
+      leg and the speedup over the interpreted one are gates; both legs
+      must agree on the final materialized view, replica and install
+      count.
 
    2. End-to-end checks at a smaller k through the real engine: the
       compiled and interpreted runs must serialize to the same bytes,
@@ -1239,24 +1226,25 @@ let bench_throughput () =
     | Some s -> Printf.sprintf "\n    \"seed_updates_per_s\": %.1f," s
     | None -> ""
   in
-  throughput_json :=
-    Some
-      (Printf.sprintf
-         "{\n\
-         \    \"algorithm\": \"sc\",\n\
-         \    \"batch_size\": %d,\n\
-         \    \"updates\": %d,\n\
-         \    \"updates_per_s\": %.1f,\n\
-         \    \"interpreted_updates_per_s\": %.1f,\n\
-         \    \"compiled_speedup_x\": %.3f,%s\n\
-         \    \"apply_latency_p50_steps\": %d,\n\
-         \    \"apply_latency_p99_steps\": %d,\n\
-         \    \"uqs_p50_steps\": %d,\n\
-         \    \"uqs_p99_steps\": %d,\n\
-         \    \"byte_identical_interpreted\": %b\n\
-         \  }"
-         batch_size k_updates (per_s t_cmp) (per_s t_int) speedup seed_field
-         apply_p50 apply_p99 uqs_p50 uqs_p99 identical)
+  gate ~name:"throughput.compiled_speedup_x" ~op:">=" (Absolute 1.0) speedup;
+  gate ~name:"throughput.updates_per_s" ~op:">=" (Baseline_x 0.5) (per_s t_cmp);
+  set_section "throughput"
+    (Printf.sprintf
+       "{\n\
+       \    \"algorithm\": \"sc\",\n\
+       \    \"batch_size\": %d,\n\
+       \    \"updates\": %d,\n\
+       \    \"updates_per_s\": %.1f,\n\
+       \    \"interpreted_updates_per_s\": %.1f,\n\
+       \    \"compiled_speedup_x\": %.3f,%s\n\
+       \    \"apply_latency_p50_steps\": %d,\n\
+       \    \"apply_latency_p99_steps\": %d,\n\
+       \    \"uqs_p50_steps\": %d,\n\
+       \    \"uqs_p99_steps\": %d,\n\
+       \    \"byte_identical_interpreted\": %b\n\
+       \  }"
+       batch_size k_updates (per_s t_cmp) (per_s t_int) speedup seed_field
+       apply_p50 apply_p99 uqs_p50 uqs_p99 identical)
 
 let ablation_compound_views () =
   header "Extension: union/difference views (Section 7; k=30, worst case)";
@@ -1605,8 +1593,8 @@ let bench_catalog () =
                (Printf.sprintf "catalog: %s rung %s stale at quiescence" algo
                   name);
            Printf.sprintf
-             "{ \"view\": \"%s\", \"algorithm\": \"%s\", \"stale_quiesce_max\": %d }"
-             (json_escape name) (json_escape algo)
+             "{ \"view\": %s, \"algorithm\": %s, \"stale_quiesce_max\": %d }"
+             (Core.Json_export.str name) (Core.Json_export.str algo)
              g.Core.Metrics.stale_quiesce_max)
          expected_rungs)
   in
@@ -1622,18 +1610,17 @@ let bench_catalog () =
              sh.Core.Metrics.shared_hits sh.Core.Metrics.shared_fanout)
          cells)
   in
-  catalog_json :=
-    Some
-      (Printf.sprintf
-         "{\n\
-         \    \"sources\": 3,\n\
-         \    \"shared_off_identical\": true,\n\
-         \    \"cells\": [\n\
-         \      %s\n\
-         \    ],\n\
-         \    \"rungs\": [ %s ]\n\
-         \  }"
-         cells_json rungs_json)
+  set_section "catalog"
+    (Printf.sprintf
+       "{\n\
+       \    \"sources\": 3,\n\
+       \    \"shared_off_identical\": true,\n\
+       \    \"cells\": [\n\
+       \      %s\n\
+       \    ],\n\
+       \    \"rungs\": [ %s ]\n\
+       \  }"
+       cells_json rungs_json)
 
 (* ------------------------------------------------------------------ *)
 (* Scale-out: N sources on one event loop (schema v8)                  *)
@@ -1648,10 +1635,10 @@ let bench_catalog () =
    - an O(active) wall-clock gate pair: the same 200-update stream fanned
      over 10 and over 100 sources — with per-step cost O(active) the two
      cost about the same, with the historical O(N)-per-step readiness
-     rebuild the wide cell pays ~10x (perf_guard.sh gates 5x);
+     rebuild the wide cell pays ~10x (the ratio is gated at 5x);
    - a coalescing pair (hot source, same stream, coalescing off/on):
      strictly fewer wire frames, byte-identical view states — asserted
-     here, gated again by perf_guard.sh;
+     here;
    - a backpressure trio (flood / bounded / weighted-fair) on a hot
      workload: Bounded_inflight must cap the peak per-edge backlog the
      flood exhibits;
@@ -1740,7 +1727,7 @@ let bench_scaling () =
       [ 3; 10; 100; 500 ]
   in
   (* --- O(active) gate pair: same stream length, 10x the fan-out --- *)
-  let gate n updates_per_source =
+  let gate_cell n updates_per_source =
     let wall0, r = exec ~updates_per_source ~seed:9 ~n () in
     (* best-of-3, as in the observe ablation: one descheduled run must
        not decide a wall-clock ratio *)
@@ -1752,8 +1739,8 @@ let bench_scaling () =
     check_exact_or_fail ("scaling gate n=" ^ string_of_int n) r;
     (wall, r)
   in
-  let n10_wall, _ = gate 10 20 in
-  let n100_wall, _ = gate 100 2 in
+  let n10_wall, _ = gate_cell 10 20 in
+  let n100_wall, _ = gate_cell 100 2 in
   let n500_wall =
     match List.find_opt (fun (n, p, rel, _, _) -> n = 500 && p = "clean" && not rel) cells with
     | Some (_, _, _, w, _) -> w
@@ -1815,12 +1802,7 @@ let bench_scaling () =
     exec ~observe:(Observe.Collector.create ()) ~seed:101 ~n:10 ()
   in
   let stale_quiesce_max =
-    match observed.Core.Engine.metrics.Core.Metrics.observe with
-    | None -> failwith "scaling: observed cell carries no gauges"
-    | Some o ->
-      List.fold_left
-        (fun acc (_, g) -> max acc g.Core.Metrics.stale_quiesce_max)
-        0 o.Core.Metrics.staleness
+    stale_quiesce_max ~section:"scaling" observed.Core.Engine.metrics
   in
   Printf.printf "staleness at quiescence across 10 views: max %d\n"
     stale_quiesce_max;
@@ -1833,10 +1815,10 @@ let bench_scaling () =
            let m = r.Core.Engine.metrics in
            let s = scale_of r in
            Printf.sprintf
-             "{ \"n\": %d, \"profile\": \"%s\", \"channel\": \"%s\", \
+             "{ \"n\": %d, \"profile\": %s, \"channel\": \"%s\", \
               \"wall_clock_s\": %.6f, \"messages\": %d, \"wire_messages\": %d, \
               \"strong\": %d, \"inflight_max\": %d, \"active_max\": %d }"
-             n (json_escape pname)
+             n (Core.Json_export.str pname)
              (if reliable then "reliable" else "raw")
              wall_s (Core.Metrics.messages m)
              m.Core.Metrics.delivery.Core.Metrics.wire_messages
@@ -1844,31 +1826,34 @@ let bench_scaling () =
              s.Core.Metrics.active_max)
          cells)
   in
-  scaling_json :=
-    Some
-      (Printf.sprintf
-         "{\n\
-         \    \"n10_wall_clock_s\": %.6f,\n\
-         \    \"n100_wall_clock_s\": %.6f,\n\
-         \    \"n500_wall_clock_s\": %.6f,\n\
-         \    \"coalesce_off_wire_messages\": %d,\n\
-         \    \"coalesce_on_wire_messages\": %d,\n\
-         \    \"coalesce_saved_wire_messages\": %d,\n\
-         \    \"coalesced_notes\": %d,\n\
-         \    \"coalesced_batches\": %d,\n\
-         \    \"coalesce_states_identical\": %b,\n\
-         \    \"inflight_max_flood\": %d,\n\
-         \    \"inflight_max_bounded\": %d,\n\
-         \    \"inflight_max_weighted_fair\": %d,\n\
-         \    \"scale_stale_quiesce_max\": %d,\n\
-         \    \"cells\": [\n\
-         \      %s\n\
-         \    ]\n\
-         \  }"
-         n10_wall n100_wall n500_wall coalesce_off_wire coalesce_on_wire
-         (coalesce_off_wire - coalesce_on_wire)
-         coalesced_notes coalesced_batches identical (inflight flood)
-         (inflight bounded) (inflight wf) stale_quiesce_max cells_json)
+  (* O(active): 200 updates over 100 sources cost about what they cost
+     over 10; the O(N)-per-step readiness rebuild pays ~10x. *)
+  gate ~name:"scaling.n100_over_n10_wall_x" ~op:"<=" (Absolute 5.0)
+    (n100_wall /. Float.max 1e-9 n10_wall);
+  set_section "scaling"
+    (Printf.sprintf
+       "{\n\
+       \    \"n10_wall_clock_s\": %.6f,\n\
+       \    \"n100_wall_clock_s\": %.6f,\n\
+       \    \"n500_wall_clock_s\": %.6f,\n\
+       \    \"coalesce_off_wire_messages\": %d,\n\
+       \    \"coalesce_on_wire_messages\": %d,\n\
+       \    \"coalesce_saved_wire_messages\": %d,\n\
+       \    \"coalesced_notes\": %d,\n\
+       \    \"coalesced_batches\": %d,\n\
+       \    \"coalesce_states_identical\": %b,\n\
+       \    \"inflight_max_flood\": %d,\n\
+       \    \"inflight_max_bounded\": %d,\n\
+       \    \"inflight_max_weighted_fair\": %d,\n\
+       \    \"scale_stale_quiesce_max\": %d,\n\
+       \    \"cells\": [\n\
+       \      %s\n\
+       \    ]\n\
+       \  }"
+       n10_wall n100_wall n500_wall coalesce_off_wire coalesce_on_wire
+       (coalesce_off_wire - coalesce_on_wire)
+       coalesced_notes coalesced_batches identical (inflight flood)
+       (inflight bounded) (inflight wf) stale_quiesce_max cells_json)
 
 (* ------------------------------------------------------------------ *)
 (* Self-maintainability (schema v9)                                    *)
@@ -1999,12 +1984,7 @@ let bench_selfmaint () =
       ~views:(defs [ view ]) ~updates ()
   in
   let stale_quiesce_max =
-    match observed.Core.Engine.metrics.Core.Metrics.observe with
-    | None -> failwith "selfmaint: observed cell carries no gauges"
-    | Some o ->
-      List.fold_left
-        (fun acc (_, g) -> max acc g.Core.Metrics.stale_quiesce_max)
-        0 o.Core.Metrics.staleness
+    stale_quiesce_max ~section:"selfmaint" observed.Core.Engine.metrics
   in
   Printf.printf
     "eligible cell: M=0 B=0, classes self=%d aux=%d fallback=0, aux storage \
@@ -2019,11 +1999,11 @@ let bench_selfmaint () =
       (List.map
          (fun (algorithm, pname, reliable, wall_s, m, ok) ->
            Printf.sprintf
-             "{ \"algorithm\": \"%s\", \"profile\": \"%s\", \"channel\": \
+             "{ \"algorithm\": %s, \"profile\": %s, \"channel\": \
               \"%s\", \"wall_clock_s\": %.6f, \"messages\": %d, \
               \"wire_messages\": %d, \"bytes\": %d, \"source_io\": %d, \
               \"correct\": %b }"
-             (json_escape algorithm) (json_escape pname)
+             (Core.Json_export.str algorithm) (Core.Json_export.str pname)
              (if reliable then "reliable" else "raw")
              wall_s (Core.Metrics.messages m)
              m.Core.Metrics.delivery.Core.Metrics.wire_messages
@@ -2031,41 +2011,40 @@ let bench_selfmaint () =
              m.Core.Metrics.source_io ok)
          (Array.to_list cells))
   in
-  selfmaint_json :=
-    Some
-      (Printf.sprintf
-         "{\n\
-         \    \"view\": \"VS\",\n\
-         \    \"eligible_algorithm\": \"eca-sm\",\n\
-         \    \"updates\": %d,\n\
-         \    \"messages_eca_sm\": %d,\n\
-         \    \"bytes_eca_sm\": %d,\n\
-         \    \"messages_eca\": %d,\n\
-         \    \"bytes_eca\": %d,\n\
-         \    \"messages_eca_local\": %d,\n\
-         \    \"bytes_eca_local\": %d,\n\
-         \    \"self\": %d,\n\
-         \    \"aux\": %d,\n\
-         \    \"fallback\": %d,\n\
-         \    \"aux_views\": %d,\n\
-         \    \"aux_tuples\": %d,\n\
-         \    \"aux_bytes\": %d,\n\
-         \    \"stale_quiesce_max\": %d,\n\
-         \    \"cells\": [\n\
-         \      %s\n\
-         \    ]\n\
-         \  }"
-         (List.length updates)
-         (Core.Metrics.messages sm_clean)
-         (Core.Metrics.bytes_for ~s:s_bytes sm_clean)
-         (Core.Metrics.messages eca_clean)
-         (Core.Metrics.bytes_for ~s:s_bytes eca_clean)
-         (Core.Metrics.messages ecal_clean)
-         (Core.Metrics.bytes_for ~s:s_bytes ecal_clean)
-         sm.Core.Metrics.sm_self sm.Core.Metrics.sm_aux
-         sm.Core.Metrics.sm_fallback sm.Core.Metrics.sm_aux_views
-         sm.Core.Metrics.sm_aux_tuples sm.Core.Metrics.sm_aux_bytes
-         stale_quiesce_max cells_json)
+  set_section "selfmaint"
+    (Printf.sprintf
+       "{\n\
+       \    \"view\": \"VS\",\n\
+       \    \"eligible_algorithm\": \"eca-sm\",\n\
+       \    \"updates\": %d,\n\
+       \    \"messages_eca_sm\": %d,\n\
+       \    \"bytes_eca_sm\": %d,\n\
+       \    \"messages_eca\": %d,\n\
+       \    \"bytes_eca\": %d,\n\
+       \    \"messages_eca_local\": %d,\n\
+       \    \"bytes_eca_local\": %d,\n\
+       \    \"self\": %d,\n\
+       \    \"aux\": %d,\n\
+       \    \"fallback\": %d,\n\
+       \    \"aux_views\": %d,\n\
+       \    \"aux_tuples\": %d,\n\
+       \    \"aux_bytes\": %d,\n\
+       \    \"stale_quiesce_max\": %d,\n\
+       \    \"cells\": [\n\
+       \      %s\n\
+       \    ]\n\
+       \  }"
+       (List.length updates)
+       (Core.Metrics.messages sm_clean)
+       (Core.Metrics.bytes_for ~s:s_bytes sm_clean)
+       (Core.Metrics.messages eca_clean)
+       (Core.Metrics.bytes_for ~s:s_bytes eca_clean)
+       (Core.Metrics.messages ecal_clean)
+       (Core.Metrics.bytes_for ~s:s_bytes ecal_clean)
+       sm.Core.Metrics.sm_self sm.Core.Metrics.sm_aux
+       sm.Core.Metrics.sm_fallback sm.Core.Metrics.sm_aux_views
+       sm.Core.Metrics.sm_aux_tuples sm.Core.Metrics.sm_aux_bytes
+       stale_quiesce_max cells_json)
 
 (* ------------------------------------------------------------------ *)
 (* Online schema evolution and windowed views (schema v10)             *)
@@ -2098,11 +2077,16 @@ let bench_evolution () =
       (R.Viewdef.simple view) ddls
   in
   let truth = R.Viewdef.eval final_db final_vd in
+  (* FIFO cells (clean, or over the reliable sublayer) carry the DDL
+     protocol; they are observed so their staleness at quiescence is
+     measured. Observation changes no counter. *)
+  let fifo pname reliable = reliable || String.equal pname "clean" in
   let exec_cell ((pname, fault), reliable) =
     let t0 = Unix.gettimeofday () in
     let result =
       Core.Engine.run
         ~schedule:(Core.Scheduler.Random 13)
+        ?observe:(collector (fifo pname reliable))
         ~evolution:ddls
         ~creator:(Core.Registry.creator_exn "eca")
         ~sites:
@@ -2150,7 +2134,7 @@ let bench_evolution () =
          at the evolved-schema oracle with its tombstone budget closed;
          raw faulty channels may diverge — that is the witness that FIFO
          carries the DDL protocol. *)
-      if reliable || String.equal pname "clean" then begin
+      if fifo pname reliable then begin
         if not ok then failwith (label ^ ": diverged from the evolved oracle");
         if e.Core.Metrics.ddl_applied <> List.length ddls then
           failwith (label ^ ": not every schema change was applied");
@@ -2158,6 +2142,16 @@ let bench_evolution () =
           failwith (label ^ ": a stale answer was never absorbed")
       end)
     cells;
+  let stale_quiesce_max =
+    Array.fold_left
+      (fun acc (pname, reliable, _, m, _) ->
+        if fifo pname reliable then
+          max acc (stale_quiesce_max ~section:"evolution" m)
+        else acc)
+      0 cells
+  in
+  if stale_quiesce_max <> 0 then
+    failwith "evolution: a FIFO cell was stale at a quiescence probe";
   (* The windowed view: a delete-heavy keyed workload (deletes reach back
      into old partitions, so compensation prunes out-of-window terms and
      answers locally) under a trailing-4-partition window on r2.Y, judged
@@ -2204,37 +2198,37 @@ let bench_evolution () =
          (fun (pname, reliable, wall_s, m, ok) ->
            let e = Option.get m.Core.Metrics.evolution in
            Printf.sprintf
-             "{ \"profile\": \"%s\", \"channel\": \"%s\", \
+             "{ \"profile\": %s, \"channel\": \"%s\", \
               \"wall_clock_s\": %.6f, \"messages\": %d, \
               \"ddl_applied\": %d, \"views_rebuilt\": %d, \
               \"refresh_queries\": %d, \"stale_answers\": %d, \
               \"retired_answers\": %d, \"correct\": %b }"
-             (json_escape pname)
+             (Core.Json_export.str pname)
              (if reliable then "reliable" else "raw")
              wall_s (Core.Metrics.messages m) e.Core.Metrics.ddl_applied
              e.Core.Metrics.views_rebuilt e.Core.Metrics.refresh_queries
              e.Core.Metrics.stale_answers e.Core.Metrics.retired_answers ok)
          (Array.to_list cells))
   in
-  evolution_json :=
-    Some
-      (Printf.sprintf
-         "{\n\
-         \    \"view\": \"VK\",\n\
-         \    \"updates\": %d,\n\
-         \    \"ddls\": %d,\n\
-         \    \"stale_quiesce_max\": 0,\n\
-         \    \"window_k\": %d,\n\
-         \    \"win_pruned_terms\": %d,\n\
-         \    \"win_local_answers\": %d,\n\
-         \    \"win_aged_partitions\": %d,\n\
-         \    \"cells\": [\n\
-         \      %s\n\
-         \    ]\n\
-         \  }"
-         (List.length updates) (List.length ddls) window.Core.Window.k
-         we.Core.Metrics.win_pruned_terms we.Core.Metrics.win_local_answers
-         we.Core.Metrics.win_aged_partitions cells_json)
+  set_section "evolution"
+    (Printf.sprintf
+       "{\n\
+       \    \"view\": \"VK\",\n\
+       \    \"updates\": %d,\n\
+       \    \"ddls\": %d,\n\
+       \    \"stale_quiesce_max\": %d,\n\
+       \    \"window_k\": %d,\n\
+       \    \"win_pruned_terms\": %d,\n\
+       \    \"win_local_answers\": %d,\n\
+       \    \"win_aged_partitions\": %d,\n\
+       \    \"cells\": [\n\
+       \      %s\n\
+       \    ]\n\
+       \  }"
+       (List.length updates) (List.length ddls) stale_quiesce_max
+       window.Core.Window.k
+       we.Core.Metrics.win_pruned_terms we.Core.Metrics.win_local_answers
+       we.Core.Metrics.win_aged_partitions cells_json)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock                                                 *)

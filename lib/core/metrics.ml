@@ -212,17 +212,9 @@ let add_delivery a b =
    notifications are identical across algorithms and excluded. *)
 let messages t = t.queries_sent + t.answers_received
 
-(* The paper's B metric expressed in tuples: Section 6.2 charges S bytes
-   per answer tuple, so B = S * answer_tuples for a given parameter S. *)
-let transfer_tuples t = t.answer_tuples
-
+(* The paper's B metric: Section 6.2 charges S bytes per answer tuple,
+   so B = S * answer_tuples for a given parameter S. *)
 let bytes_for ~s t = s * t.answer_tuples
-
-let mean_latency t =
-  if t.delivery.delivered = 0 then 0.0
-  else
-    float_of_int t.delivery.latency_total
-    /. float_of_int t.delivery.delivered
 
 (* Wire totals are metered on every run (they are just the channels'
    physical counters), so a perfect-FIFO run still carries nonzero

@@ -178,13 +178,8 @@ val messages : t -> int
 (** The paper's M: queries + answers (notifications excluded, as in
     Section 6.1). *)
 
-val transfer_tuples : t -> int
-
 val bytes_for : s:int -> t -> int
 (** The paper's B for a given per-tuple size [S]. *)
-
-val mean_latency : t -> float
-(** Mean delivery latency in ticks of reliably delivered messages. *)
 
 val delivery_active : delivery -> bool
 (** True when a fault or the reliability protocol actually fired —

@@ -20,8 +20,7 @@
     Scheduling state is held in ready {i sets}, not N-wide arrays: the
     engine marks edges ready/unready as sends, receives and transport
     ticks happen, and every pick costs O(active edges), not O(N) — the
-    property that lets one event loop drive hundreds of sources. The
-    array-based {!pick_multi} remains as a compatibility wrapper.
+    property that lets one event loop drive hundreds of sources.
 
     FIFO channel order is preserved per edge regardless of the policy,
     matching the paper's delivery assumptions. *)
@@ -42,14 +41,6 @@ type event =
   | Site_source of int  (** source [i] answers its next pending query *)
   | Site_warehouse of int
       (** the warehouse processes the next message from source [i] *)
-
-type multi = {
-  update_ready : bool;
-  source_ready : bool array;  (** per site, indexed as in the site graph *)
-  warehouse_ready : bool array;
-}
-(** The enabled-event sets of a site graph; the arrays must have equal
-    length (one slot per source). *)
 
 exception Schedule_error of string
 
@@ -133,10 +124,6 @@ module Ready : sig
   (** No event is enabled (ticking the transport may enable some). *)
 
   val enabled_count : t -> int
-
-  val of_multi : multi -> t
-  (** One O(N) conversion from materialized readiness arrays; loads 0,
-      update site unknown. *)
 end
 
 type t
@@ -145,14 +132,9 @@ val create : policy -> t
 
 val pick : t -> enabled -> action option
 (** The next action over a single-site graph, or [None] when nothing is
-    enabled. Equivalent to {!pick_multi} with one source. *)
-
-val pick_multi : t -> multi -> event option
-(** The next event over the site graph, or [None] when nothing is
-    enabled. Compatibility wrapper: converts to a {!Ready.t} (O(N)) and
-    delegates to {!pick_ready}; behavior — including the RNG draw
-    sequence of [Random] and the rotation of [Round_robin] — is
-    identical. *)
+    enabled. Equivalent to {!pick_ready} over a one-site {!Ready.t}:
+    behavior — including the RNG draw sequence of [Random] and the
+    rotation of [Round_robin] — is identical. *)
 
 val pick_ready : t -> Ready.t -> event option
 (** The next event over incrementally maintained ready state, or [None]
@@ -160,4 +142,3 @@ val pick_ready : t -> Ready.t -> event option
     same [Ready.t] across picks and adjusts it as the graph evolves. *)
 
 val action_name : action -> string
-val enabled_list : enabled -> action list

@@ -1,11 +1,15 @@
 #!/bin/sh
 # Determinism check for the parallel bench: `bench quick` with PAR=1 and
-# PAR=N must emit identical `runs` arrays — same order, same values —
-# differing only in the measured wall_clock_s of each run (timing noise
+# PAR=N must emit identical results — same runs in the same order, same
+# values, same report — differing only in measured timings (timing noise
 # exists even between two sequential runs, so those fields are normalized
 # to 0 before diffing).
 #
 # Usage: check_determinism.sh [BENCH_EXE] [PAR_N]
+#
+# Section presence and the bench's correctness claims are not checked
+# here: the bench fails before writing its results when a claim breaks,
+# and scripts/perf_guard.sh fails when a baseline section goes missing.
 set -eu
 
 exe=${1:-./_build/default/bench/main.exe}
@@ -28,12 +32,11 @@ mkdir "$tmp/seq" "$tmp/par"
 ( cd "$tmp/seq" && PAR=1 "$exe" quick > stdout.txt )
 ( cd "$tmp/par" && PAR="$par" "$exe" quick > stdout.txt )
 
-# Keep the observe and throughput objects and the runs array (schema v6
-# puts "observe" then "throughput" just above "runs"); zero out the
-# per-run wall clocks, the observe overhead ratio and the throughput
-# rates — all timing noise. The second wall-clock sed catches the
-# scaling section's flat gate fields (n10_wall_clock_s and friends,
-# schema v8), which the quoted "wall_clock_s" pattern cannot reach.
+# Keep everything from the "observe" object to the end of the file — the
+# top-level section objects and the runs array; the "gates" table above
+# it is all timing. Zero out the per-run and per-cell wall clocks (the
+# second wall-clock sed reaches the scaling section's n10_wall_clock_s
+# and friends), the observe overhead ratio and the throughput rates.
 normalize() {
   sed -n '/"observe": {/,$p' "$1" \
     | sed 's/"wall_clock_s": [0-9.eE+-]*/"wall_clock_s": 0/' \
@@ -66,114 +69,6 @@ strip_summary "$tmp/par/stdout.txt" > "$tmp/out_par"
 if ! diff -u "$tmp/out_seq" "$tmp/out_par" > "$tmp/out.diff"; then
   echo "check_determinism: FAIL — report output differs between PAR=1 and PAR=$par" >&2
   head -40 "$tmp/out.diff" >&2
-  exit 1
-fi
-
-# The federated bench section must be present: it is the only section
-# exercising the per-site delivery breakdown (schema v4), so losing it
-# would silently shrink what this determinism check covers.
-if ! grep -q '"figure": "Federation' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — federation section missing from bench output" >&2
-  exit 1
-fi
-
-# The observability ablation must report the spans-off path as
-# byte-identical: a "false" here means instrumentation leaked into the
-# uninstrumented run (a determinism bug by definition, caught at the
-# source rather than as a golden-trace diff later).
-if ! grep -q '"byte_identical_off": true' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — spans-off bench output is not byte-identical" >&2
-  exit 1
-fi
-
-# The sustained-throughput section (schema v6) must be present and its
-# compiled path must serialize byte-identically to the interpreted one:
-# a missing object means the headline perf number silently stopped being
-# measured; "false" means the compiled delta programs changed a run.
-if ! grep -q '"throughput": {' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — throughput section missing from bench output" >&2
-  exit 1
-fi
-if ! grep -q '"byte_identical_interpreted": true' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — compiled delta programs changed the run output" >&2
-  exit 1
-fi
-
-# The multi-view catalog section (schema v7) must be present and its
-# "catalog" object must report sharing as a pure optimization: a missing
-# object means the MQO section silently stopped running; a false
-# shared_off_identical means sharing changed a view's lifecycle — a
-# correctness bug surfaced here rather than as a consistency failure
-# downstream.
-if ! grep -q '"catalog": {' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — catalog section missing from bench output" >&2
-  exit 1
-fi
-if ! grep -q '"shared_off_identical": true' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — shared-delta maintenance changed a view state" >&2
-  exit 1
-fi
-
-# The scaling section (schema v8) must be present and PAR-invariant —
-# its cells run with the warehouse sharded over the pool, so it is the
-# section that would diverge first if Pool.map stopped behaving like a
-# sequential map. Its two correctness flags are asserted here too:
-# coalescing must not have changed a view's final state, and the
-# observed 10-view cell must report staleness 0 at every quiescence.
-if ! grep -q '"scaling": {' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — scaling section missing from bench output" >&2
-  exit 1
-fi
-if ! grep -q '"coalesce_states_identical": true' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — per-edge coalescing changed a view state" >&2
-  exit 1
-fi
-if ! grep -q '"scale_stale_quiesce_max": 0' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — an ECA view was stale at quiescence in the scaling cell" >&2
-  exit 1
-fi
-
-# The self-maintainability section (schema v9) must be present, its
-# eligible cell must report zero messages and zero fallbacks (ECA-SM
-# answering the whole stream warehouse-locally), and the observed run
-# must show staleness 0 at every quiescence probe. The section sits
-# inside the normalization window above, so its cells are also
-# PAR-invariance-checked like every other run.
-if ! grep -q '"selfmaint": {' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — selfmaint section missing from bench output" >&2
-  exit 1
-fi
-if ! grep -q '"messages_eca_sm": 0' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — ECA-SM sent messages on the self-maintainable workload" >&2
-  exit 1
-fi
-if ! grep -q '"fallback": 0' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — ECA-SM took the query fallback on an eligible class" >&2
-  exit 1
-fi
-
-# The evolution section (schema v10) must be present: it is the only
-# section exercising online schema changes (DDL x fault x channel) and
-# the windowed-view layer, so losing it would silently shrink coverage.
-# Its FIFO correctness cells are gated by the bench itself; here we
-# assert the object survived into the JSON, that the DDL protocol's
-# tombstone budget is the pinned 0, and that the windowed cell both aged
-# partitions out and pruned compensation terms (a 0 in either counter
-# means the windowed wrapper stopped doing its job on this workload).
-if ! grep -q '"evolution": {' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — evolution section missing from bench output" >&2
-  exit 1
-fi
-if ! grep -q '"stale_quiesce_max": 0' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — the DDL tombstone budget is no longer pinned to 0" >&2
-  exit 1
-fi
-if grep -q '"win_aged_partitions": 0' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — the windowed bench cell aged no partition out" >&2
-  exit 1
-fi
-if grep -q '"win_pruned_terms": 0' "$tmp/seq/BENCH_results.json"; then
-  echo "check_determinism: FAIL — the windowed bench cell pruned no compensation term" >&2
   exit 1
 fi
 

@@ -94,6 +94,15 @@ let explicit letters =
          | c -> Alcotest.failf "bad schedule letter %c" c)
        (List.init (String.length letters) (String.get letters)))
 
+(* A fresh scheduler ready state over [Array.length sources] sites: the
+   update stream plus each site's source and warehouse ends, loads 0. *)
+let ready_of ~update sources warehouses =
+  let r = Core.Scheduler.Ready.create (Array.length sources) in
+  Core.Scheduler.Ready.set_update r update;
+  Array.iteri (Core.Scheduler.Ready.set_source r) sources;
+  Array.iteri (Core.Scheduler.Ready.set_warehouse r) warehouses;
+  r
+
 let check_bag = Alcotest.check bag_testable
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

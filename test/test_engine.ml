@@ -22,23 +22,19 @@ let event_name = function
 let picks sched ms =
   List.map
     (fun m ->
-      match S.pick_multi sched m with
+      match S.pick_ready sched m with
       | Some ev -> event_name ev
       | None -> "-")
     ms
 
-let multi ~update sources warehouses =
-  {
-    S.update_ready = update;
-    source_ready = Array.of_list sources;
-    warehouse_ready = Array.of_list warehouses;
-  }
+let ready ~update sources warehouses =
+  ready_of ~update (Array.of_list sources) (Array.of_list warehouses)
 
 let round_robin_rotates_over_sites () =
   (* The fixed event order over two sites is A, S0, W0, S1, W1. With
      everything enabled the cursor must walk it cyclically. *)
   let sched = S.create S.Round_robin in
-  let all = multi ~update:true [ true; true ] [ true; true ] in
+  let all = ready ~update:true [ true; true ] [ true; true ] in
   Alcotest.(check (list string))
     "full rotation, twice around"
     [ "A"; "S0"; "W0"; "S1"; "W1"; "A"; "S0"; "W0"; "S1"; "W1" ]
@@ -49,12 +45,12 @@ let round_robin_skips_disabled_without_stalling () =
      otherwise disabled events would freeze the rotation (the multi-site
      analog of the single-site Scheduler.pick regression from PR 2). *)
   let sched = S.create S.Round_robin in
-  let no_s0 = multi ~update:true [ false; true ] [ true; true ] in
+  let no_s0 = ready ~update:true [ false; true ] [ true; true ] in
   Alcotest.(check (list string))
     "S0 disabled: rotation advances over it"
     [ "A"; "W0"; "S1"; "W1"; "A"; "W0" ]
     (picks sched (List.init 6 (fun _ -> no_s0)));
-  let none = multi ~update:false [ false; false ] [ false; false ] in
+  let none = ready ~update:false [ false; false ] [ false; false ] in
   Alcotest.(check (list string)) "nothing enabled" [ "-" ] (picks sched [ none ])
 
 (* Two sources, each owning its own relations. *)

@@ -102,20 +102,13 @@ let explicit_rejects_disabled () =
   | exception S.Schedule_error _ -> ()
   | _ -> Alcotest.fail "expected Schedule_error"
 
-let enabled_list_contents () =
-  Alcotest.(check (list string))
-    "enabled list order"
-    [ "apply-update"; "source-receive"; "warehouse-receive" ]
-    (List.map S.action_name (S.enabled_list all_enabled));
-  check_int "empty when nothing enabled" 0
-    (List.length (S.enabled_list none_enabled))
-
 (* --- the ready-set path ------------------------------------------------ *)
 
 (* pick_ready over incrementally maintained state must agree with
-   pick_multi over materialized arrays — including the stateful policies'
-   cursors and RNG draws — under arbitrary readiness churn. *)
-let ready_equals_multi () =
+   pick_ready over a fresh state built from the same readiness arrays —
+   including the stateful policies' cursors and RNG draws — under
+   arbitrary readiness churn. *)
+let fresh_equals_maintained () =
   let n = 5 in
   let st = Random.State.make [| 2024 |] in
   List.iter
@@ -123,24 +116,22 @@ let ready_equals_multi () =
       let a = S.create policy and b = S.create policy in
       let ready = S.Ready.create n in
       for step = 1 to 300 do
-        let m =
-          {
-            S.update_ready = Random.State.bool st;
-            source_ready = Array.init n (fun _ -> Random.State.bool st);
-            warehouse_ready = Array.init n (fun _ -> Random.State.bool st);
-          }
-        in
+        let update = Random.State.bool st in
+        let sources = Array.init n (fun _ -> Random.State.bool st) in
+        let warehouses = Array.init n (fun _ -> Random.State.bool st) in
         (* maintain the persistent state edge by edge, as the engine does *)
-        S.Ready.set_update ready m.S.update_ready;
-        Array.iteri (fun i r -> S.Ready.set_source ready i r) m.S.source_ready;
-        Array.iteri
-          (fun i r -> S.Ready.set_warehouse ready i r)
-          m.S.warehouse_ready;
-        let ea = S.pick_multi a m and eb = S.pick_ready b ready in
+        S.Ready.set_update ready update;
+        Array.iteri (S.Ready.set_source ready) sources;
+        Array.iteri (S.Ready.set_warehouse ready) warehouses;
+        let ea = S.pick_ready a (ready_of ~update sources warehouses)
+        and eb = S.pick_ready b ready in
         if ea <> eb then
-          Alcotest.failf "step %d: pick_multi and pick_ready diverge" step
+          Alcotest.failf "step %d: fresh and maintained state diverge" step
       done)
-    [ S.Best_case; S.Worst_case; S.Round_robin; S.Random 7; S.Random 99 ]
+    [
+      S.Best_case; S.Worst_case; S.Round_robin; S.Random 7; S.Random 99;
+      S.Bounded_inflight 2; S.Weighted_fair 2;
+    ]
 
 let bounded_inflight_gates_on_load () =
   let t = S.create (S.Bounded_inflight 2) in
@@ -191,8 +182,8 @@ let weighted_fair_serves_cold_edges () =
 let suite =
   [
     Alcotest.test_case "best-case priorities" `Quick best_case_priorities;
-    Alcotest.test_case "pick_ready = pick_multi under churn" `Quick
-      ready_equals_multi;
+    Alcotest.test_case "pick_ready: fresh = maintained state under churn"
+      `Quick fresh_equals_maintained;
     Alcotest.test_case "bounded-inflight gates on edge load" `Quick
       bounded_inflight_gates_on_load;
     Alcotest.test_case "weighted-fair serves cold edges" `Quick
@@ -208,5 +199,4 @@ let suite =
       explicit_consumes_script;
     Alcotest.test_case "explicit rejects disabled actions" `Quick
       explicit_rejects_disabled;
-    Alcotest.test_case "enabled list" `Quick enabled_list_contents;
   ]
