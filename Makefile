@@ -1,7 +1,7 @@
 # Convenience targets; `dune build` / `dune runtest` remain the source of
 # truth (ROADMAP.md tier 1).
 
-.PHONY: all build test bench bench-par bench-throughput smoke clean
+.PHONY: all build test bench bench-par bench-throughput perf smoke clean
 
 all: build
 
@@ -31,14 +31,22 @@ bench-throughput:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe throughput
 
+# The end-to-end benchmark (perfbench/, see perfbench/LEDGER.md) on each
+# of its workloads, untraced, 30 s per workload.
+perf:
+	for w in grow wide catalog; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
+
 # One-stop pre-commit gate: build everything, run the test suite
 # sequentially (PAR=1) and over two worker domains (PAR=2), so the seed
 # sweeps are exercised on both paths (--force: the second run must not
 # be served from dune's cache), plus the fault-injection/reliability
 # suites, the golden-trace suite pinning Engine.run's single- and
-# multi-source output byte-for-byte, and the engine, selfmaint and
-# evolution suites, all explicitly, so a filtered or cached runtest can
-# never silently skip them. Then check that the parallel bench is
+# multi-source output byte-for-byte, the §3.1 checkers and the
+# staleness walk against their reference implementations, and the
+# engine, selfmaint and evolution suites, all explicitly, so a filtered
+# or cached runtest can never silently skip them. Then check that the parallel bench is
 # deterministic (PAR=1 and PAR=4 emit identical runs arrays and
 # reports), run the quick benchmark, and let scripts/perf_guard.sh
 # compare it with the committed BENCH_results.json baseline: every entry
@@ -54,6 +62,8 @@ smoke:
 	dune exec test/main.exe -- test reliable
 	dune exec test/main.exe -- test observe
 	dune exec test/main.exe -- test golden
+	dune exec test/main.exe -- test consistency
+	dune exec test/main.exe -- test staleness
 	dune exec test/main.exe -- test engine
 	dune exec test/main.exe -- test selfmaint
 	dune exec test/main.exe -- test evolution

@@ -8,58 +8,35 @@ type report = {
   complete : bool;
 }
 
-(* One pass, no double traversal: state sequences grow with the trace
-   length, and every consistency check starts here. *)
-let rec last = function
-  | [] -> None
-  | [ x ] -> Some x
-  | _ :: rest -> last rest
-
-let convergent ~source_states ~warehouse_states =
-  match last source_states, last warehouse_states with
-  | Some s, Some w -> R.Bag.equal s w
-  | _ -> false
-
-let weakly_consistent ~source_states ~warehouse_states =
-  List.for_all
-    (fun w -> List.exists (fun s -> R.Bag.equal s w) source_states)
-    warehouse_states
-
-(* Consistency: an order-preserving (non-decreasing) mapping from warehouse
-   states to value-equal source states. Greedy earliest-match is complete
-   for this "subsequence with repeats" problem: if any non-decreasing
-   assignment exists, mapping each warehouse state to the earliest source
-   state at or after the previous match also succeeds. *)
-let consistent ~source_states ~warehouse_states =
-  let src = Array.of_list source_states in
-  let n = Array.length src in
-  let rec go from = function
-    | [] -> true
-    | w :: rest ->
-      let rec find j =
-        if j >= n then None
-        else if R.Bag.equal src.(j) w then Some j
-        else find (j + 1)
-      in
-      (match find from with
-       | None -> false
-       | Some j -> go j rest)
-  in
-  go 0 warehouse_states
-
-let covers_all_source_states ~source_states ~warehouse_states =
-  List.for_all
-    (fun s -> List.exists (fun w -> R.Bag.equal w s) warehouse_states)
-    source_states
-
+(* Each state is judged through its class (Bag.Classes): source states
+   are numbered up to equality, each warehouse state is mapped once to the
+   class of an equal source state, or to -1, and the five properties are
+   then decided over the two class arrays in one pass each. *)
 let check ~source_states ~warehouse_states =
-  let convergent = convergent ~source_states ~warehouse_states in
-  let weakly_consistent = weakly_consistent ~source_states ~warehouse_states in
-  let consistent = consistent ~source_states ~warehouse_states in
+  let classes = R.Bag.Classes.create () in
+  let classify f states = Array.of_list (List.map (f classes) states) in
+  let src = classify R.Bag.Classes.add source_states in
+  let wh = classify R.Bag.Classes.find warehouse_states in
+  let n = Array.length src and m = Array.length wh in
+  let convergent = n > 0 && m > 0 && src.(n - 1) = wh.(m - 1) in
+  let weakly_consistent = Array.for_all (fun k -> k >= 0) wh in
+  (* Consistency: an order-preserving (non-decreasing) mapping from
+     warehouse states to value-equal source states. Greedy earliest-match
+     is complete for this "subsequence with repeats" problem: if any
+     non-decreasing assignment exists, mapping each warehouse state to the
+     earliest source state at or after the previous match also succeeds. *)
+  let j = ref 0 and k = ref 0 in
+  while !k < m && !j < n do
+    if src.(!j) = wh.(!k) then incr k else incr j
+  done;
+  let consistent = !k = m in
   let strongly_consistent = consistent && convergent in
   let complete =
     strongly_consistent
-    && covers_all_source_states ~source_states ~warehouse_states
+    &&
+    let hit = Array.make (R.Bag.Classes.count classes) false in
+    Array.iter (fun k -> if k >= 0 then hit.(k) <- true) wh;
+    Array.for_all Fun.id hit
   in
   { convergent; weakly_consistent; consistent; strongly_consistent; complete }
 

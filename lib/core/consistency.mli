@@ -5,7 +5,9 @@
     source state initially and after each update event — and
     [warehouse_states] must be [MV at ws_0; …] — the materialized view
     initially and after each installation. Both sequences come from the
-    simulation engine's trace. States compare by bag equality. *)
+    simulation engine's trace. States compare by bag equality; a check
+    costs at most one fingerprint and, barring fingerprint collisions, one
+    {!Relational.Bag.equal} per state (see {!Relational.Bag.Classes}). *)
 
 module R := Relational
 
@@ -25,18 +27,6 @@ type report = {
 
 val check :
   source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> report
-
-val convergent :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
-
-val weakly_consistent :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
-
-val consistent :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
-
-val covers_all_source_states :
-  source_states:R.Bag.t list -> warehouse_states:R.Bag.t list -> bool
 
 val strongest_label : report -> string
 (** Human-readable name of the strongest property satisfied. *)

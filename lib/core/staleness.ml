@@ -16,30 +16,22 @@ let zero = { samples = 0; max_lag = 0; mean_lag = 0.0; final_lag = 0; unmatched 
    the newest source state equal to the current view; the statistics are
    the time average over those samples. A view state that matches no
    source state at all (an anomaly) contributes to [unmatched] and counts
-   with the maximal possible lag. *)
+   with the maximal possible lag. Source states and installed views are
+   numbered up to equality as they arrive, and [newest] keeps, per class,
+   the index of the newest source state in it. *)
 let of_trace trace name =
   let initial =
     match List.assoc_opt name (Trace.initial_views trace) with
     | Some v -> v
     | None -> R.Bag.empty
   in
-  let source_states = ref [ (0, initial) ] in  (* newest first *)
+  let classes = R.Bag.Classes.create () in
+  let newest = Hashtbl.create 64 in
   let current = ref 0 in
-  let mv = ref initial in
+  let mv_class = ref (R.Bag.Classes.add classes initial) in
+  Hashtbl.replace newest !mv_class 0;
   let lags = ref [] in
   let unmatched = ref 0 in
-  let lag_now () =
-    let rec find = function
-      | [] -> None
-      | (idx, state) :: rest ->
-        if R.Bag.equal state !mv then Some (!current - idx) else find rest
-    in
-    match find !source_states with
-    | Some lag -> lag
-    | None ->
-      incr unmatched;
-      !current
-  in
   List.iter
     (fun entry ->
       (match entry with
@@ -47,7 +39,8 @@ let of_trace trace name =
        | Trace.Source_ddl { source_views; _ } -> (
          incr current;
          match List.assoc_opt name source_views with
-         | Some v -> source_states := (!current, v) :: !source_states
+         | Some v ->
+           Hashtbl.replace newest (R.Bag.Classes.add classes v) !current
          | None -> ())
        | Trace.Warehouse_note { installs; _ }
        | Trace.Warehouse_answer { installs; _ }
@@ -56,17 +49,24 @@ let of_trace trace name =
          match List.assoc_opt name installs with
          | Some states -> (
            match List.rev states with
-           | last :: _ -> mv := last
+           | last :: _ -> mv_class := R.Bag.Classes.add classes last
            | [] -> ())
          | None -> ())
        | Trace.Source_answer _ -> ());
       (* sample after every atomic event, giving a time-weighted lag *)
-      lags := lag_now () :: !lags)
+      let lag =
+        match Hashtbl.find_opt newest !mv_class with
+        | Some idx -> !current - idx
+        | None ->
+          incr unmatched;
+          !current
+      in
+      lags := lag :: !lags)
     (Trace.entries trace);
-  let final_lag = lag_now () in
   match !lags with
-  | [] -> { zero with final_lag; unmatched = !unmatched }
-  | lags ->
+  | [] -> zero
+  | final_lag :: _ as lags ->
+    (* nothing changes after the last event: its sample is the final lag *)
     let n = List.length lags in
     {
       samples = n;

@@ -39,56 +39,75 @@ type entry =
       installs : (string * R.Bag.t list) list;
     }
 
-type t = {
-  mutable entries : entry list;  (* newest first *)
-  initial_views : (string * R.Bag.t) list;
+(* One view's states, as [source_states]/[warehouse_states] read them:
+   [stamp] is the last entry that contributed, so only a view's first
+   binding in an entry counts, as [List.assoc_opt] would read it. *)
+type view_states = {
+  mutable source : R.Bag.t list;  (* newest first *)
+  mutable warehouse : R.Bag.t list;  (* newest first *)
+  mutable stamp : int;
 }
 
-let create ~initial_views = { entries = []; initial_views }
+type t = {
+  mutable entries : entry list;  (* newest first *)
+  mutable recorded : int;
+  initial_views : (string * R.Bag.t) list;
+  views : (string, view_states) Hashtbl.t;
+}
 
-let record t e = t.entries <- e :: t.entries
+let create ~initial_views =
+  { entries = []; recorded = 0; initial_views; views = Hashtbl.create 16 }
+
+(* Files into the view's states, unless this entry already did. *)
+let file t name add =
+  let v =
+    match Hashtbl.find_opt t.views name with
+    | Some v -> v
+    | None ->
+      let v = { source = []; warehouse = []; stamp = -1 } in
+      Hashtbl.add t.views name v;
+      v
+  in
+  if v.stamp <> t.recorded then begin
+    v.stamp <- t.recorded;
+    add v
+  end
+
+let record t e =
+  t.entries <- e :: t.entries;
+  t.recorded <- t.recorded + 1;
+  match e with
+  | Source_update { source_views; _ } | Source_ddl { source_views; _ } ->
+    List.iter
+      (fun (name, b) -> file t name (fun v -> v.source <- b :: v.source))
+      source_views
+  | Warehouse_note { installs; _ }
+  | Warehouse_answer { installs; _ }
+  | Quiesce_probe { installs; _ }
+  | Warehouse_ddl { installs; _ } ->
+    List.iter
+      (fun (name, states) ->
+        file t name (fun v ->
+            v.warehouse <- List.rev_append states v.warehouse))
+      installs
+  | Source_answer _ -> ()
 
 let entries t = List.rev t.entries
 
 let initial_views t = t.initial_views
 
-let source_states t name =
-  let initial =
-    match List.assoc_opt name t.initial_views with
-    | Some v -> [ v ]
-    | None -> []
+let states t name side =
+  let newest_first =
+    match Hashtbl.find_opt t.views name with Some v -> side v | None -> []
   in
-  initial
-  @ List.filter_map
-      (function
-        | Source_update { source_views; _ } | Source_ddl { source_views; _ } ->
-          List.assoc_opt name source_views
-        | Source_answer _ | Warehouse_note _ | Warehouse_answer _
-        | Quiesce_probe _ | Warehouse_ddl _ ->
-          None)
-      (entries t)
+  let states = List.rev newest_first in
+  match List.assoc_opt name t.initial_views with
+  | Some v -> v :: states
+  | None -> states
 
-let installs_of = function
-  | Warehouse_note { installs; _ }
-  | Warehouse_answer { installs; _ }
-  | Quiesce_probe { installs; _ }
-  | Warehouse_ddl { installs; _ } ->
-    installs
-  | Source_update _ | Source_answer _ | Source_ddl _ -> []
+let source_states t name = states t name (fun v -> v.source)
 
-let warehouse_states t name =
-  let initial =
-    match List.assoc_opt name t.initial_views with
-    | Some v -> [ v ]
-    | None -> []
-  in
-  initial
-  @ List.concat_map
-      (fun e ->
-        match List.assoc_opt name (installs_of e) with
-        | Some states -> states
-        | None -> [])
-      (entries t)
+let warehouse_states t name = states t name (fun v -> v.warehouse)
 
 let pp_queries ppf qs =
   match qs with

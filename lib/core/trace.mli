@@ -55,10 +55,12 @@ val entries : t -> entry list
 val initial_views : t -> (string * R.Bag.t) list
 
 val source_states : t -> string -> R.Bag.t list
-(** [V[ss_0]; V[ss_1]; …] for the named view — input to the checkers. *)
+(** [V[ss_0]; V[ss_1]; …] for the named view — input to the checkers.
+    {!record} files each state under its view as it arrives, so this
+    reads only the view's own states, never the whole trace. *)
 
 val warehouse_states : t -> string -> R.Bag.t list
-(** [MV at ws_0; …] for the named view. *)
+(** [MV at ws_0; …] for the named view, read like {!source_states}. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -149,15 +149,87 @@ let is_set b =
   Imap.for_all (fun _ bucket -> List.for_all (fun (_, n) -> n = 1) bucket) b.buckets
 
 (* Buckets hold the same entries in arbitrary order when two bags were
-   built along different paths, so bucket equality is multiset equality. *)
+   built along different paths, so bucket equality is multiset equality.
+   Nearly every bucket is a singleton; that case allocates no closure, and
+   bags that share structure often share the tuple itself. *)
 let bucket_equal b1 b2 =
-  List.length b1 = List.length b2
-  && List.for_all
-       (fun (t, n) ->
-         List.exists (fun (t', n') -> n = n' && Tuple.equal t t') b2)
-       b1
+  match b1, b2 with
+  | [ (t, n) ], [ (t', n') ] -> n = n' && (t == t' || Tuple.equal t t')
+  | _ ->
+    List.length b1 = List.length b2
+    && List.for_all
+         (fun (t, n) ->
+           List.exists (fun (t', n') -> n = n' && Tuple.equal t t') b2)
+         b1
 
-let equal a b = a.size = b.size && Imap.equal bucket_equal a.buckets b.buckets
+let equal a b =
+  a == b || (a.size = b.size && Imap.equal bucket_equal a.buckets b.buckets)
+
+(* A bijective scramble of the tuple hash (splitmix64's finaliser, its
+   constants cut to OCaml's 63-bit ints): similar tuples have nearby
+   hashes, and their plain sums would often coincide across bags. *)
+let mix h =
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
+
+let rec bucket_count acc = function
+  | [] -> acc
+  | ((_, n) : Tuple.t * int) :: rest -> bucket_count (acc + n) rest
+
+(* Every entry of a bucket has the bucket's hash, so the bucket weighs
+   mix(h) times its net count. *)
+let fingerprint b =
+  Imap.fold
+    (fun h bucket acc -> acc + (mix h * bucket_count 0 bucket))
+    b.buckets 0
+
+module Classes = struct
+  type bag = t
+
+  type nonrec t = {
+    by_fingerprint : (int, bag * int) Hashtbl.t;
+    mutable count : int;
+    mutable last : bag;  (* the bag classified last, and its class *)
+    mutable last_class : int;
+  }
+
+  let create () =
+    {
+      by_fingerprint = Hashtbl.create 64;
+      count = 0;
+      last = empty;
+      last_class = -1;
+    }
+
+  let count c = c.count
+
+  let rec confirm b = function
+    | [] -> -1
+    | (b', k) :: rest -> if equal b b' then k else confirm b rest
+
+  let classify ~add c b =
+    if b == c.last && c.last_class >= 0 then c.last_class
+    else
+      let fp = fingerprint b in
+      let k =
+        match confirm b (Hashtbl.find_all c.by_fingerprint fp) with
+        | -1 when add ->
+          let k = c.count in
+          Hashtbl.add c.by_fingerprint fp (b, k);
+          c.count <- k + 1;
+          k
+        | k -> k
+      in
+      if k >= 0 then begin
+        c.last <- b;
+        c.last_class <- k
+      end;
+      k
+
+  let add = classify ~add:true
+  let find = classify ~add:false
+end
 
 let to_counted_list b =
   fold (fun t n acc -> (t, n) :: acc) b []

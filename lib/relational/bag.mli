@@ -81,6 +81,34 @@ val is_set : t -> bool
 (** Every count is exactly 1 (ECAK views with full key coverage are sets). *)
 
 val equal : t -> t -> bool
+
+val fingerprint : t -> int
+(** An order-independent digest of the bag's contents, computed in
+    O(distinct tuples) from the tuple hashes the bag already holds: equal
+    bags have equal fingerprints however they were built. Unequal bags may
+    collide — tuples with equal {!Tuple.hash} always do — so a matching
+    fingerprint must be confirmed with {!equal}. *)
+
+(** Numbering of bags up to {!equal}: each class is found by fingerprint
+    and confirmed by one {!equal} per candidate, and a bag physically equal
+    to the one classified last reuses its class without either. *)
+module Classes : sig
+  type bag := t
+  type t
+
+  val create : unit -> t
+
+  val add : t -> bag -> int
+  (** The class of the bag, numbering it [count] first if no earlier bag
+      equals it. Classes are [0], [1], … in order of first appearance. *)
+
+  val find : t -> bag -> int
+  (** The class of an added bag equal to this one, or [-1]. *)
+
+  val count : t -> int
+  (** The number of classes. *)
+end
+
 val compare : t -> t -> int
 val mem : Tuple.t -> t -> bool
 

@@ -20,7 +20,14 @@ let compare a b =
     in
     loop 0
 
-let equal a b = compare a b = 0
+(* Equality is the hot comparison (bag buckets, state checks); unlike
+   [compare] it walks the values without allocating a closure. *)
+let rec equal_below a b i =
+  i < 0 || (Value.equal a.(i) b.(i) && equal_below a b (i - 1))
+
+let equal a b =
+  a == b
+  || (Array.length a = Array.length b && equal_below a b (Array.length a - 1))
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 

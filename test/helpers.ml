@@ -121,3 +121,55 @@ let rng seed = Random.State.make [| seed |]
 let pool = lazy (Parallel.Pool.create ())
 
 let par_map f xs = Parallel.Pool.map_list (Lazy.force pool) f xs
+
+(* Random traces over the views a, b, c and d, where d is missing from
+   the initial views. Source events bind any of them and installs carry
+   zero to three states; a name may repeat within one entry. States come
+   from a pool of four bags, each drawn either as the pooled object or
+   as a freshly built equal copy, so equal states recur both physically
+   shared and not. *)
+let gen_trace =
+  let open QCheck.Gen in
+  let pool = Array.init 4 (fun i -> bag [ [ i ] ]) in
+  let state =
+    map2 (fun i fresh -> if fresh then bag [ [ i ] ] else pool.(i)) (int_bound 3) bool
+  in
+  let named g = list_size (int_bound 3) (pair (oneofl [ "a"; "b"; "c"; "d" ]) g) in
+  let states = named (list_size (int_bound 3) state) in
+  let ddl = R.Update.Drop_column { rel = "r"; col = "x" } in
+  let entry =
+    oneof
+      [
+        map
+          (fun source_views -> Core.Trace.Source_update { updates = []; source_views })
+          (named state);
+        map (fun source_views -> Core.Trace.Source_ddl { ddl; source_views }) (named state);
+        map
+          (fun gid ->
+            Core.Trace.Source_answer
+              { gid; answer = R.Bag.empty; cost = Storage.Cost.zero })
+          small_nat;
+        map
+          (fun installs ->
+            Core.Trace.Warehouse_note { updates = []; queries = []; installs })
+          states;
+        map (fun installs -> Core.Trace.Warehouse_answer { gid = 0; installs }) states;
+        map (fun installs -> Core.Trace.Quiesce_probe { queries = []; installs }) states;
+        map
+          (fun installs ->
+            Core.Trace.Warehouse_ddl { ddl; rebuilt = []; queries = []; installs })
+          states;
+      ]
+  in
+  map2
+    (fun initial entries ->
+      let t =
+        Core.Trace.create
+          ~initial_views:(List.combine [ "a"; "b"; "c" ] initial)
+      in
+      List.iter (Core.Trace.record t) entries;
+      t)
+    (list_repeat 3 state)
+    (list_size (int_bound 20) entry)
+
+let arb_trace = QCheck.make ~print:(Format.asprintf "%a" Core.Trace.pp) gen_trace

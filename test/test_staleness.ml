@@ -81,6 +81,77 @@ let empty_run () =
   check_int "no samples" 0 lag.Core.Staleness.samples;
   check_int "fresh" 0 lag.Core.Staleness.final_lag
 
+(* A run whose last install matches no source state: only that last
+   sample is unmatched, and the final lag is not sampled again. *)
+let ending_unmatched_counts_once () =
+  let t = Core.Trace.create ~initial_views:[ ("V", bag [ [ 0 ] ]) ] in
+  Core.Trace.record t
+    (Core.Trace.Source_update { updates = []; source_views = [ ("V", bag [ [ 1 ] ]) ] });
+  Core.Trace.record t
+    (Core.Trace.Warehouse_answer { gid = 0; installs = [ ("V", [ bag [ [ 9 ] ] ]) ] });
+  let lag = Core.Staleness.of_trace t "V" in
+  check_int "two samples" 2 lag.Core.Staleness.samples;
+  check_int "one unmatched" 1 lag.Core.Staleness.unmatched;
+  check_int "final lag is the maximal one" 1 lag.Core.Staleness.final_lag
+
+(* [Staleness.of_trace] as it rescanned every source state at each
+   sample, kept as the reference for the class-indexed walk; the final
+   lag is the last sample's. *)
+let rescan_reference trace name =
+  let initial =
+    match List.assoc_opt name (Core.Trace.initial_views trace) with
+    | Some v -> v
+    | None -> R.Bag.empty
+  in
+  let source_states = ref [ (0, initial) ] in
+  let current = ref 0 and mv = ref initial in
+  let lags = ref [] and unmatched = ref 0 in
+  List.iter
+    (fun entry ->
+      (match entry with
+       | Core.Trace.Source_update { source_views; _ }
+       | Core.Trace.Source_ddl { source_views; _ } -> (
+         incr current;
+         match List.assoc_opt name source_views with
+         | Some v -> source_states := (!current, v) :: !source_states
+         | None -> ())
+       | Core.Trace.Warehouse_note { installs; _ }
+       | Core.Trace.Warehouse_answer { installs; _ }
+       | Core.Trace.Quiesce_probe { installs; _ }
+       | Core.Trace.Warehouse_ddl { installs; _ } -> (
+         match List.assoc_opt name installs with
+         | Some states -> (
+           match List.rev states with last :: _ -> mv := last | [] -> ())
+         | None -> ())
+       | Core.Trace.Source_answer _ -> ());
+      let lag =
+        match List.find_opt (fun (_, s) -> R.Bag.equal s !mv) !source_states with
+        | Some (idx, _) -> !current - idx
+        | None ->
+          incr unmatched;
+          !current
+      in
+      lags := lag :: !lags)
+    (Core.Trace.entries trace);
+  match !lags with
+  | [] -> Core.Staleness.zero
+  | final_lag :: _ as lags ->
+    let n = List.length lags in
+    {
+      Core.Staleness.samples = n;
+      max_lag = List.fold_left max 0 lags;
+      mean_lag = float_of_int (List.fold_left ( + ) 0 lags) /. float_of_int n;
+      final_lag;
+      unmatched = !unmatched;
+    }
+
+let rescan_prop =
+  QCheck.Test.make ~name:"class-indexed lag = rescanning reference" ~count:1000
+    arb_trace (fun t ->
+      List.for_all
+        (fun name -> Core.Staleness.of_trace t name = rescan_reference t name)
+        [ "a"; "b"; "c"; "d" ])
+
 let suite =
   [
     Alcotest.test_case "immediate best case is fresh" `Quick
@@ -91,4 +162,7 @@ let suite =
       periodic_increases_lag;
     Alcotest.test_case "LCA fresh under drain" `Quick lca_fresh_under_drain;
     Alcotest.test_case "empty run" `Quick empty_run;
+    Alcotest.test_case "an unmatched end counts once" `Quick
+      ending_unmatched_counts_once;
+    QCheck_alcotest.to_alcotest rescan_prop;
   ]
