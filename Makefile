@@ -44,9 +44,13 @@ perf:
 # be served from dune's cache), plus the fault-injection/reliability
 # suites, the golden-trace suite pinning Engine.run's single- and
 # multi-source output byte-for-byte, the §3.1 checkers and the
-# staleness walk against their reference implementations, and the
-# engine, selfmaint and evolution suites, all explicitly, so a filtered
-# or cached runtest can never silently skip them. Then check that the parallel bench is
+# staleness walk against their reference implementations, the query,
+# plan-equiv and algorithms suites (the one-pass ECA compensation, the
+# split-then-simplify order and the one-row literal evaluator against
+# the old fold, the old order and the naive evaluator, plus the pinned
+# worst-case ECA queries), and the engine, selfmaint and evolution
+# suites, all explicitly, so a filtered or cached runtest can never
+# silently skip them. Then check that the parallel bench is
 # deterministic (PAR=1 and PAR=4 emit identical runs arrays and
 # reports), run the quick benchmark, and let scripts/perf_guard.sh
 # compare it with the committed BENCH_results.json baseline: every entry
@@ -64,6 +68,9 @@ smoke:
 	dune exec test/main.exe -- test golden
 	dune exec test/main.exe -- test consistency
 	dune exec test/main.exe -- test staleness
+	dune exec test/main.exe -- test query
+	dune exec test/main.exe -- test plan-equiv
+	dune exec test/main.exe -- test algorithms
 	dune exec test/main.exe -- test engine
 	dune exec test/main.exe -- test selfmaint
 	dune exec test/main.exe -- test evolution

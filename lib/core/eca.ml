@@ -24,12 +24,16 @@ let create (cfg : Algorithm.Config.t) =
     local_literal_eval = cfg.Algorithm.Config.local_literal_eval;
   }
 
-(* Split off the literal-only terms when local evaluation is enabled;
+(* Answer the literal-only terms here when local evaluation is enabled;
    otherwise ship the whole query, as a literal reading of Algorithm 5.2
    would. *)
 let split t q =
-  if t.local_literal_eval then R.Query.split_local (R.Query.simplify q)
-  else (R.Query.empty, R.Query.simplify q)
+  if t.local_literal_eval then R.Eval.split_local q
+  else (R.Bag.empty, R.Query.simplify q)
+
+(* Fold [f] over the pending queries, oldest first, without copying the
+   UQS. *)
+let fold_uqs f acc uqs = R.Fqueue.fold (fun acc (_, qj) -> f acc qj) acc uqs
 
 let mv t = t.mv
 
@@ -56,17 +60,14 @@ let maybe_install t =
 let on_update t (u : R.Update.t) =
   (* Q_i = V⟨U_i⟩ − Σ_{Q_j ∈ UQS} Q_j⟨U_i⟩ *)
   let q =
-    R.Fqueue.fold
-      (fun acc (_, qj) -> R.Query.minus acc (R.Query.subst qj u))
-      (R.Viewdef.delta t.view u)
-      t.uqs
+    R.Query.compensate ~fold:fold_uqs (R.Viewdef.delta t.view u) u t.uqs
   in
   (* Terms whose slots are all substituted tuples need no base data: they
      are evaluated here and never shipped (Appendix D's "no compensating
      query needs to be sent since all data needed is already at the
      warehouse"); exact T/-T pairs cancel outright. *)
   let local, remote = split t q in
-  t.collect <- R.Bag.plus t.collect (R.Eval.literal_query local);
+  t.collect <- R.Bag.plus t.collect local;
   if R.Query.is_empty remote then maybe_install t
   else begin
     let id = t.next_id in
@@ -76,7 +77,7 @@ let on_update t (u : R.Update.t) =
   end
 
 let on_answer t ~id answer =
-  t.uqs <- R.Fqueue.filter (fun (i, _) -> i <> id) t.uqs;
+  t.uqs <- R.Fqueue.remove_first (fun (i, _) -> i = id) t.uqs;
   t.collect <- R.Bag.plus t.collect answer;
   maybe_install t
 
@@ -85,26 +86,27 @@ let on_answer t ~id answer =
    the remote terms already accumulated for this batch — all of which the
    source will evaluate after the entire batch has been applied. *)
 let on_batch t us =
-  let batch_remote = ref R.Query.empty in
+  (* the batch's remote parts so far, oldest first; they are compensated
+     after the UQS, as if already pending *)
+  let batch = ref R.Fqueue.empty in
+  let fold_pending f acc batch = R.Fqueue.fold f (fold_uqs f acc t.uqs) batch in
   List.iter
     (fun u ->
       let q =
-        R.Fqueue.fold
-          (fun acc (_, qj) -> R.Query.minus acc (R.Query.subst qj u))
-          (R.Viewdef.delta t.view u)
-          t.uqs
+        R.Query.compensate ~fold:fold_pending (R.Viewdef.delta t.view u) u
+          !batch
       in
-      let q = R.Query.minus q (R.Query.subst !batch_remote u) in
       let local, remote = split t q in
-      t.collect <- R.Bag.plus t.collect (R.Eval.literal_query local);
-      batch_remote := R.Query.plus !batch_remote remote)
+      t.collect <- R.Bag.plus t.collect local;
+      if not (R.Query.is_empty remote) then batch := R.Fqueue.push !batch remote)
     us;
-  if R.Query.is_empty !batch_remote then maybe_install t
+  let batch_remote = List.concat (R.Fqueue.to_list !batch) in
+  if R.Query.is_empty batch_remote then maybe_install t
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    t.uqs <- R.Fqueue.push t.uqs (id, !batch_remote);
-    Algorithm.send_one id !batch_remote
+    t.uqs <- R.Fqueue.push t.uqs (id, batch_remote);
+    Algorithm.send_one id batch_remote
   end
 
 let of_state t =

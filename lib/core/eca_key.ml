@@ -110,10 +110,9 @@ let on_update t (u : R.Update.t) =
          duplicate answer tuples (dropped on receipt), tuples covered by a
          tombstone, or missing tuples a concurrent delete would have
          removed anyway. *)
-      let q = R.Query.view_delta t.view u in
-      let local, remote = R.Query.split_local q in
-      if not (R.Query.is_empty local) then
-        set_collect t (Mview.add_dedup t.collect (R.Eval.literal_query local));
+      let local, remote = R.Eval.split_local (R.Query.view_delta t.view u) in
+      if not (R.Bag.is_empty local) then
+        set_collect t (Mview.add_dedup t.collect local);
       if R.Query.is_empty remote then maybe_install t
       else begin
         let id = t.next_id in
@@ -123,7 +122,7 @@ let on_update t (u : R.Update.t) =
       end
 
 let on_answer t ~id answer =
-  t.uqs <- R.Fqueue.filter (fun i -> i <> id) t.uqs;
+  t.uqs <- R.Fqueue.remove_first (fun i -> i = id) t.uqs;
   let answer =
     List.fold_left
       (fun a ts ->

@@ -133,10 +133,11 @@ let on_event t updates =
   let sends =
     List.filter_map
       (fun target ->
-        let q = R.Query.simplify !(Hashtbl.find by_target target) in
-        let local, remote = R.Query.split_local q in
+        let local, remote =
+          R.Eval.split_local !(Hashtbl.find by_target target)
+        in
         let d = delta_of t target in
-        d.acc <- R.Bag.plus d.acc (R.Eval.literal_query local);
+        d.acc <- R.Bag.plus d.acc local;
         if R.Query.is_empty remote then None
         else Some (register_piece t ~target remote))
       (List.rev !order)
@@ -152,7 +153,7 @@ let on_answer t ~id answer =
   | None -> Algorithm.nothing
   | Some p ->
     Hashtbl.remove t.pending id;
-    t.pending_order <- R.Fqueue.filter (fun q -> q <> id) t.pending_order;
+    t.pending_order <- R.Fqueue.remove_first (fun q -> q = id) t.pending_order;
     let d = delta_of t p.target in
     d.acc <- R.Bag.plus d.acc answer;
     d.open_pieces <- d.open_pieces - 1;

@@ -245,7 +245,35 @@ let compare a b =
 
 let mem t b = count b t <> 0
 
-let filter f b = filter_map_counts (fun t n -> if f t then Some n else None) b
+(* [Imap.filter] returns its argument when it keeps every binding, so a
+   filter that drops nothing returns [b] itself and allocates nothing —
+   a no-op key-delete is then recognised by [equal]'s [==] test. A
+   collision bucket that loses only some entries is re-added trimmed. *)
+let filter f b =
+  let dropped = ref 0 and trimmed = ref [] in
+  let buckets =
+    Imap.filter
+      (fun h bucket ->
+        match bucket with
+        | [ (t, _) ] -> f t || (incr dropped; false)
+        | _ -> (
+          let kept = List.filter (fun (t, _) -> f t) bucket in
+          let lost = List.length bucket - List.length kept in
+          lost = 0
+          || begin
+               dropped := !dropped + lost;
+               if kept <> [] then trimmed := (h, kept) :: !trimmed;
+               false
+             end))
+      b.buckets
+  in
+  if !dropped = 0 then b
+  else
+    {
+      size = b.size - !dropped;
+      buckets =
+        List.fold_left (fun m (h, kept) -> Imap.add h kept m) buckets !trimmed;
+    }
 
 let map_tuples f b = fold (fun t n acc -> add ~count:n (f t) acc) b empty
 

@@ -119,6 +119,8 @@ val iter : (Tuple.t -> int -> unit) -> t -> unit
 (** Like {!fold}, enumeration order is unspecified (hash order). *)
 
 val filter : (Tuple.t -> bool) -> t -> t
+(** Physically the argument when every tuple passes. *)
+
 val map_tuples : (Tuple.t -> Tuple.t) -> t -> t
 
 val to_list : t -> (Sign.t * Tuple.t) list

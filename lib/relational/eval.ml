@@ -194,13 +194,89 @@ let query db q =
 
 let view db v = query db (Query.of_view v)
 
-let literal_term (t : Term.t) =
-  if not (Term.is_all_literals t) then
-    error "literal_term: term still references base relations";
-  term Db.empty t
+(* A literal-only term joins one row: each slot holds a single signed
+   tuple. Instead of running the plan's row buffers and hash tables, lay
+   the tuples side by side and test each slot's join keys (with
+   [Value.equal], the test [Vkey.equal] applies) and residual filter in
+   slot order, as [run_plan] would. Tuples are checked in the same order
+   and as lazily: a slot past a failed join is never checked. The caller
+   has checked that [t] is all literals. *)
+let add_literal_row (plan : Plan.t) (t : Term.t) acc =
+  if plan.Plan.pre_false then acc
+  else begin
+    let row =
+      Array.concat
+        (List.map
+           (function Term.Lit (_, _, tup) -> tup | Term.Base _ -> assert false)
+           t.Term.slots)
+    in
+    let offsets = plan.Plan.layout.Plan.offsets in
+    let rec go i count = function
+      | [] ->
+        Bag.add
+          ~count:(count * Sign.to_int t.Term.sign)
+          (Tuple.project plan.Plan.proj row)
+          acc
+      | Term.Base _ :: _ -> assert false
+      | Term.Lit (s, g, tup) :: rest ->
+        Schema.check_tuple s tup;
+        let sp = plan.Plan.slots.(i) and off = offsets.(i) in
+        if
+          Array.for_all
+            (fun (k : Plan.join_key) ->
+              Value.equal row.(k.Plan.probe_pos) row.(off + k.Plan.build_pos))
+            sp.Plan.keys
+          && keep sp.Plan.filter row
+        then go (i + 1) (count * Sign.to_int g) rest
+        else acc
+    in
+    go 0 1 t.Term.slots
+  end
+
+(* Terms derived from one view by substitution share its projection,
+   condition and slot schemas physically, so a run of them reuses one
+   plan lookup; a term with any other skeleton looks its plan up. *)
+let same_skeleton (a : Term.t) (b : Term.t) =
+  a.Term.proj == b.Term.proj
+  && a.Term.cond == b.Term.cond
+  && List.equal
+       (fun x y -> Term.slot_schema x == Term.slot_schema y)
+       a.Term.slots b.Term.slots
+
+let plan_reuser () =
+  let last = ref None in
+  fun t ->
+    match !last with
+    | Some (t', plan) when same_skeleton t' t -> plan
+    | _ ->
+      let plan = Plan.of_term t in
+      last := Some (t, plan);
+      plan
 
 let literal_query q =
-  List.fold_left (fun acc t -> Bag.plus acc (literal_term t)) Bag.empty q
+  let plan_of = plan_reuser () in
+  List.fold_left
+    (fun acc t ->
+      if not (Term.is_all_literals t) then
+        error "literal_query: term still references base relations";
+      add_literal_row (plan_of t) t acc)
+    Bag.empty q
+
+(* Literal-only terms are answered here; only the rest is simplified.
+   A term and its negation are both literal-only or both not, so
+   cancelling T/-T pairs in the remote part alone makes the same
+   decisions as cancelling them in the whole query, and the cancelled
+   local pairs sum to zero in the local answer anyway. *)
+let split_local q =
+  let plan_of = plan_reuser () in
+  let rec go local remote = function
+    | [] -> (local, Query.simplify (List.rev remote))
+    | t :: rest ->
+      if Term.is_all_literals t then
+        go (add_literal_row (plan_of t) t local) remote rest
+      else go local (t :: remote) rest
+  in
+  go Bag.empty [] q
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference evaluator                                           *)

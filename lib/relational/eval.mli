@@ -37,11 +37,19 @@ val view : Db.t -> View.t -> Bag.t
     consistency checkers compare against, and what RV's recompute query
     returns. *)
 
-val literal_term : Term.t -> Bag.t
-(** Evaluate a term with no base-relation slots; needs no database.
-    @raise Eval_error if the term still references a base relation. *)
-
 val literal_query : Query.t -> Bag.t
+(** Evaluate a query whose terms have no base-relation slots; needs no
+    database. Each term joins a single row; consecutive terms with a
+    physically shared skeleton (as substitution leaves them) share one
+    plan lookup.
+    @raise Eval_error if a term still references a base relation. *)
+
+val split_local : Query.t -> Bag.t * Query.t
+(** [(local answer, remote query)]: the literal-only terms evaluated by
+    {!literal_query}, and the remaining terms with T/−T pairs cancelled.
+    The remote query equals [snd (Query.split_local (Query.simplify q))]
+    term for term and the local answer equals that split's evaluated
+    local part as a ℤ-bag, but only the remote terms are simplified. *)
 
 val naive_term : Db.t -> Term.t -> Bag.t
 (** Reference semantics: full cross product of the slots, condition

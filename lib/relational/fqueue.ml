@@ -31,6 +31,19 @@ let of_list l = { front = l; back = []; length = List.length l }
 
 let filter p t = of_list (List.filter p (to_list t))
 
+let remove_first p t =
+  match pop t with
+  | Some (x, rest) when p x -> rest
+  | None -> t
+  | Some _ ->
+    let rec drop before = function
+      | [] -> t
+      | x :: rest ->
+        if p x then of_list (List.rev_append before rest)
+        else drop (x :: before) rest
+    in
+    drop [] (to_list t)
+
 (* Via [to_list] so [f]'s effects run oldest-to-newest — callers retransmit
    from inside [f], and the wire order must stay ascending. *)
 let map f t = of_list (List.map f (to_list t))

@@ -25,6 +25,12 @@ val of_list : 'a list -> 'a t
 val filter : ('a -> bool) -> 'a t -> 'a t
 (** Keeps relative order; O(n). *)
 
+val remove_first : ('a -> bool) -> 'a t -> 'a t
+(** Drop the oldest element satisfying the predicate, keeping the rest
+    in order. O(1) amortized when that element is the oldest of all —
+    answers on a FIFO edge come back in query order — and O(n)
+    otherwise. *)
+
 val map : ('a -> 'b) -> 'a t -> 'b t
 (** Keeps relative order; O(n). [f]'s side effects run oldest to
     newest. *)

@@ -20,6 +20,21 @@ let subst q (u : Update.t) = List.filter_map (fun t -> Term.subst t u) q
 
 let subst_all q us = List.fold_left subst q us
 
+(* [q] followed by the negated [qj⟨u⟩] of every [qj] that [fold] visits,
+   in order — the term list a [minus]/[subst] fold builds, but
+   accumulated in reverse and reversed once, so each term is allocated
+   once instead of being recopied by every [@] of the fold. *)
+let compensate ~fold q u pending =
+  let neg_subst acc qj =
+    List.fold_left
+      (fun acc t ->
+        match Term.subst t u with
+        | Some t' -> Term.negate t' :: acc
+        | None -> acc)
+      acc qj
+  in
+  List.rev (fold neg_subst (List.rev q) pending)
+
 let view_delta v u = subst (of_view v) u
 
 let split_local q =
@@ -31,12 +46,14 @@ let split_local q =
    evaluated.
 
    Surviving terms are bucketed by {!Term.hash}, so each incoming term
-   compares only against the candidates sharing its opposite's hash —
-   ECA's compensation queries grow to hundreds of terms under contention
-   and a linear scan with full structural [Term.equal] per element
-   dominated whole runs. The cancelled occurrence is the *oldest* match,
-   and survivors keep arrival order, exactly as the specification fold
-   ([if opposite ∈ acc then remove first occurrence else append]) did. *)
+   compares only against the candidates sharing its opposite's hash
+   rather than scanning with full structural [Term.equal]. The
+   compensating rungs split literal-only terms off first and simplify
+   only the remote rest (see [Eval.split_local]), which under contention
+   is a handful of terms out of dozens. The cancelled occurrence is the
+   *oldest* match, and survivors keep arrival order, exactly as the
+   specification fold ([if opposite ∈ acc then remove first occurrence
+   else append]) did. *)
 let simplify q =
   match q with
   | [] | [ _ ] -> q

@@ -32,13 +32,22 @@ val subst_all : t -> Update.t list -> t
 (** [Q⟨U1, …, Uk⟩], left to right; empty whenever two updates hit the same
     relation in a term. *)
 
+val compensate : fold:((t -> t -> t) -> t -> 'p -> t) -> t -> Update.t -> 'p -> t
+(** [compensate ~fold q u pending] is [q − q1⟨u⟩ − … − qn⟨u⟩], where
+    [fold] visits the queries [q1 … qn] held in [pending] in that order
+    ([~fold:List.fold_left] for a list). Term for term the
+    [minus]/[subst] fold (same terms, same order), built in one pass:
+    linear in the output instead of quadratic in the number of pending
+    queries, and the pending queries are never copied. *)
+
 val view_delta : View.t -> Update.t -> t
 (** [V⟨U⟩] — the incremental-maintenance query of Algorithm 5.1. *)
 
 val split_local : t -> t * t
 (** [(local, remote)]: terms whose slots are all literal tuples need no
     base data and are evaluated at the warehouse; the rest go to the
-    source. *)
+    source. The maintenance algorithms use [Eval.split_local], which
+    also evaluates the local part; this is its specification. *)
 
 val simplify : t -> t
 (** Cancel [T]/[−T] pairs. Sound because queries are signed sums

@@ -103,6 +103,20 @@ let ready_of ~update sources warehouses =
   Array.iteri (Core.Scheduler.Ready.set_warehouse r) warehouses;
   r
 
+(* [(i, j)], [i < j]: two [Int] tuples [[i]] and [[j]] with equal
+   [Tuple.hash], so a bag files them in one collision bucket. *)
+let colliding_pair () =
+  let seen = Hashtbl.create 100_000 in
+  let rec go i =
+    let h = R.Tuple.hash (R.Tuple.ints [ i ]) in
+    match Hashtbl.find_opt seen h with
+    | Some j -> (j, i)
+    | None ->
+      Hashtbl.add seen h i;
+      go (i + 1)
+  in
+  go 0
+
 let check_bag = Alcotest.check bag_testable
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

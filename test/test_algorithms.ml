@@ -61,11 +61,144 @@ let eca_collect_defers_install () =
   check_bag "both answers installed together" (bag [ [ 1 ]; [ 4 ] ])
     (Core.Eca.mv t)
 
+(* Answers that overtake each other (a reordering edge): the UQS drops
+   exactly the answered query and the install still waits for both. *)
+let eca_answers_out_of_order () =
+  let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []); (r3, []) ] in
+  let t = Core.Eca.create (cfg_of db (view_w3 ())) in
+  let o1 = Core.Eca.on_update t (ins "r1" [ 4; 2 ]) in
+  let o2 = Core.Eca.on_update t (ins "r2" [ 2; 5 ]) in
+  let id1 = match o1.A.send with [ (i, _) ] -> i | _ -> Alcotest.fail "id1" in
+  let id2 = match o2.A.send with [ (i, _) ] -> i | _ -> Alcotest.fail "id2" in
+  let ob = Core.Eca.on_answer t ~id:id2 (bag [ [ 1 ] ]) in
+  check_int "no install while the older query is pending" 0
+    (List.length ob.A.installs);
+  Alcotest.(check (list int)) "only the older query remains" [ id1 ]
+    (List.map fst (Core.Eca.uqs t));
+  let oa = Core.Eca.on_answer t ~id:id1 (bag [ [ 4 ] ]) in
+  check_int "install on the last answer" 1 (List.length oa.A.installs);
+  check_bag "both answers installed together" (bag [ [ 1 ]; [ 4 ] ])
+    (Core.Eca.mv t)
+
 let eca_ignores_foreign_relations () =
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []); (r3, []) ] in
   let t = Core.Eca.create (cfg_of db (view_w ())) in
   let o = Core.Eca.on_update t (ins "r3" [ 9; 9 ]) in
   check_int "no query for an unrelated relation" 0 (List.length o.A.send)
+
+(* Catalog-style views (keyed r1(W,X) and r2(X,Y), a threshold on r1.W,
+   two projections, plus one view extended by a keyed r3(Y,Z)) under the
+   worst-case schedule: every update lands while all earlier queries are
+   pending, so each query compensates the whole UQS. On the two-relation
+   views every compensation term is literal-only and answered at the
+   warehouse; on the three-relation view they keep a base slot and ship.
+   The shipped queries are pinned term by term, in order. *)
+let compact_term (t : R.Term.t) =
+  let slot = function
+    | R.Term.Base s -> s.R.Schema.name
+    | R.Term.Lit (s, g, tup) ->
+      s.R.Schema.name ^ ":" ^ R.Sign.to_string g ^ R.Tuple.to_string tup
+  in
+  (match t.R.Term.sign with R.Sign.Pos -> "+" | R.Sign.Neg -> "-")
+  ^ String.concat " x " (List.map slot t.R.Term.slots)
+
+let eca_worst_case_catalog_queries () =
+  let r1 = Workload.Generator.keyed_r1 and r2 = Workload.Generator.keyed_r2 in
+  let r3 = R.Schema.of_names ~key:[ "Z" ] "r3" [ "Y"; "Z" ] in
+  let view ?(sources = [ r1; r2 ]) name proj =
+    R.View.natural_join ~name
+      ~extra_cond:R.Predicate.(Cmp (Ge, col "r1.W", int 1))
+      ~proj sources
+  in
+  let views =
+    [
+      view "y_w1" [ R.Attr.unqualified "Y" ];
+      view "xy_w1" [ R.Attr.qualified "r2" "X"; R.Attr.unqualified "Y" ];
+      view ~sources:[ r1; r2; r3 ] "wz_w1"
+        [ R.Attr.unqualified "W"; R.Attr.unqualified "Z" ];
+    ]
+  in
+  let db =
+    db_of
+      [
+        (r1, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 1 ] ]);
+        (r2, [ [ 1; 10 ]; [ 2; 11 ] ]);
+        (r3, [ [ 10; 100 ]; [ 12; 101 ] ]);
+      ]
+  in
+  let updates =
+    [
+      ins "r1" [ 3; 2 ];
+      ins "r2" [ 2; 12 ];
+      ins "r3" [ 11; 102 ];
+      del "r1" [ 1; 2 ];
+      ins "r1" [ 4; 1 ];
+      del "r2" [ 1; 10 ];
+    ]
+  in
+  let result =
+    run ~algorithm:"eca" ~schedule:Core.Scheduler.Worst_case ~views ~db
+      ~updates ()
+  in
+  let shipped =
+    List.concat_map
+      (function
+        | Core.Trace.Warehouse_note { queries; _ } ->
+          List.map
+            (fun (gid, q) -> (gid, List.map compact_term (R.Query.terms q)))
+            queries
+        | _ -> [])
+      (Core.Trace.entries result.Core.Engine.trace)
+  in
+  let expected =
+    [
+      (0, [ "+r1:+[3,2] x r2" ]);
+      (1, [ "+r1:+[3,2] x r2" ]);
+      (2, [ "+r1:+[3,2] x r2 x r3" ]);
+      (3, [ "+r1 x r2:+[2,12]" ]);
+      (4, [ "+r1 x r2:+[2,12]" ]);
+      (5, [ "+r1 x r2:+[2,12] x r3"; "-r1:+[3,2] x r2:+[2,12] x r3" ]);
+      ( 6,
+        [
+          "+r1 x r2 x r3:+[11,102]";
+          "-r1:+[3,2] x r2 x r3:+[11,102]";
+          "-r1 x r2:+[2,12] x r3:+[11,102]";
+        ] );
+      (7, [ "+r1:-[1,2] x r2" ]);
+      (8, [ "+r1:-[1,2] x r2" ]);
+      ( 9,
+        [
+          "+r1:-[1,2] x r2 x r3";
+          "-r1:-[1,2] x r2:+[2,12] x r3";
+          "-r1:-[1,2] x r2 x r3:+[11,102]";
+        ] );
+      (10, [ "+r1:+[4,1] x r2" ]);
+      (11, [ "+r1:+[4,1] x r2" ]);
+      ( 12,
+        [
+          "+r1:+[4,1] x r2 x r3";
+          "-r1:+[4,1] x r2:+[2,12] x r3";
+          "-r1:+[4,1] x r2 x r3:+[11,102]";
+        ] );
+      (13, [ "+r1 x r2:-[1,10]" ]);
+      (14, [ "+r1 x r2:-[1,10]" ]);
+      ( 15,
+        [
+          "+r1 x r2:-[1,10] x r3";
+          "-r1:+[3,2] x r2:-[1,10] x r3";
+          "-r1 x r2:-[1,10] x r3:+[11,102]";
+          "-r1:-[1,2] x r2:-[1,10] x r3";
+          "-r1:+[4,1] x r2:-[1,10] x r3";
+        ] );
+    ]
+  in
+  Alcotest.(check (list (pair int (list string))))
+    "shipped queries" expected shipped;
+  List.iter
+    (fun (v : R.View.t) ->
+      check_bool (v.R.View.name ^ " strongly consistent") true
+        (report result v.R.View.name).Core.Consistency.strongly_consistent)
+    views
 
 (* ------------------------------------------------------------------ *)
 (* RV periods and messages                                             *)
@@ -442,8 +575,12 @@ let suite =
       eca_no_compensation_when_quiescent;
     Alcotest.test_case "ECA defers install until UQS empty" `Quick
       eca_collect_defers_install;
+    Alcotest.test_case "ECA accepts answers out of order" `Quick
+      eca_answers_out_of_order;
     Alcotest.test_case "ECA ignores foreign relations" `Quick
       eca_ignores_foreign_relations;
+    Alcotest.test_case "ECA worst case on catalog views: pinned queries" `Quick
+      eca_worst_case_catalog_queries;
     Alcotest.test_case "RV message counts by period" `Quick
       rv_period_message_counts;
     Alcotest.test_case "RV flushes partial periods" `Quick

@@ -120,10 +120,40 @@ let qcheck_suite =
             (R.Bag.plus (R.Bag.scale 3 a) (R.Bag.scale 3 b)));
       law "apply_sign Neg negates" 200 arb_bag (fun a ->
           R.Bag.equal (R.Bag.apply_sign R.Sign.Neg a) (R.Bag.negate a));
+      law "filter keeps exactly the passing entries" 200 arb_bag (fun a ->
+          let keep t = R.Tuple.hash t land 1 = 0 in
+          R.Bag.equal (R.Bag.filter keep a)
+            (R.Bag.fold
+               (fun t n acc -> if keep t then R.Bag.add ~count:n t acc else acc)
+               a R.Bag.empty));
       law "dedup_to_set is a positive set" 200 arb_bag (fun a ->
           let s = R.Bag.dedup_to_set a in
           R.Bag.is_set s && not (R.Bag.has_negative s));
     ]
+
+(* [filter] hands back its argument when nothing is dropped (so a no-op
+   key-delete is recognised by [equal]'s physical test), and trims a
+   shared collision bucket entry by entry. *)
+let filter_cases () =
+  let i, j = colliding_pair () in
+  let ti = R.Tuple.ints [ i ] and tj = R.Tuple.ints [ j ] in
+  let b =
+    R.Bag.add ~count:2 ti (R.Bag.add tj (R.Bag.singleton ~count:(-1) t1))
+  in
+  check_bool "keep-all filter returns its argument" true
+    (R.Bag.filter (fun _ -> true) b == b);
+  check_bag "drop one entry of a shared bucket"
+    (R.Bag.add ~count:2 ti (R.Bag.singleton ~count:(-1) t1))
+    (R.Bag.filter (fun t -> not (R.Tuple.equal t tj)) b);
+  check_bag "drop the other entry"
+    (R.Bag.add tj (R.Bag.singleton ~count:(-1) t1))
+    (R.Bag.filter (fun t -> not (R.Tuple.equal t ti)) b);
+  check_bag "drop the whole bucket" (R.Bag.singleton ~count:(-1) t1)
+    (R.Bag.filter (fun t -> R.Tuple.equal t t1) b);
+  check_int "sizes follow" 1
+    (R.Bag.distinct_cardinality (R.Bag.filter (fun t -> R.Tuple.equal t t1) b));
+  check_bool "drop-all is empty" true
+    (R.Bag.is_empty (R.Bag.filter (fun _ -> false) b))
 
 let suite =
   [
@@ -135,5 +165,6 @@ let suite =
       truncating_diff;
     Alcotest.test_case "duplicate elimination" `Quick dedup;
     Alcotest.test_case "expansion and byte size" `Quick expansion;
+    Alcotest.test_case "filter: no-op and shared buckets" `Quick filter_cases;
   ]
   @ qcheck_suite

@@ -31,6 +31,38 @@ let eca_batch_correct () =
     (List.assoc "V" result.Core.Engine.reports)
       .Core.Consistency.strongly_consistent
 
+(* A batch that lands while an older query is pending: each update's
+   query compensates the UQS first, then the batch's own earlier remote
+   parts. The shipped query is checked term for term against the
+   [Query.minus] fold that built it before compensation became one pass. *)
+let eca_batch_compensation_order () =
+  let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []); (r3, []) ] in
+  let view = view_w3 () in
+  let inst = Core.Eca.instance (Core.Algorithm.Config.of_view_db view db) in
+  let sent (o : Core.Algorithm.outcome) =
+    match o.Core.Algorithm.send with
+    | [ (_, q) ] -> q
+    | _ -> Alcotest.fail "expected one query"
+  in
+  let q0 = sent (inst.Core.Algorithm.on_update (ins "r1" [ 4; 2 ])) in
+  let batch = [ ins "r2" [ 2; 5 ]; ins "r3" [ 5; 3 ] ] in
+  let shipped = sent (inst.Core.Algorithm.on_batch batch) in
+  let expected =
+    List.fold_left
+      (fun batch_remote u ->
+        let q = R.Query.minus (R.Query.view_delta view u) (R.Query.subst q0 u) in
+        let q = R.Query.minus q (R.Query.subst batch_remote u) in
+        R.Query.plus batch_remote
+          (snd (R.Query.split_local (R.Query.simplify q))))
+      R.Query.empty batch
+  in
+  check_int "2 + 3 remote terms (one literal-only term answered locally)" 5
+    (R.Query.term_count shipped);
+  Alcotest.(check string)
+    "same terms in the same order" (R.Query.to_string expected)
+    (R.Query.to_string shipped);
+  check_bool "Query.equal" true (R.Query.equal expected shipped)
+
 let eca_batch_message_savings () =
   let db = db_of [ (r1, [ [ 1; 2 ] ]); (r2, []) ] in
   let updates = List.init 12 (fun i -> ins "r2" [ 2; i ]) in
@@ -163,6 +195,8 @@ let suite =
     Alcotest.test_case "ECA batch is correct" `Quick eca_batch_correct;
     Alcotest.test_case "ECA batch message savings" `Quick
       eca_batch_message_savings;
+    Alcotest.test_case "ECA batch compensation order" `Quick
+      eca_batch_compensation_order;
     Alcotest.test_case "batched agrees with unbatched" `Quick
       eca_batch_agrees_with_unbatched;
     Alcotest.test_case "LCA batch complete at boundaries" `Quick

@@ -233,20 +233,8 @@ let checker_prop =
       && report.C.consistent
          = reference_consistent ~source_states ~warehouse_states)
 
-(* Two [Int] tuples with equal [Tuple.hash]: their singleton bags share
-   a fingerprint but are different states. *)
-let colliding_pair () =
-  let seen = Hashtbl.create 100_000 in
-  let rec go i =
-    let h = R.Tuple.hash (R.Tuple.ints [ i ]) in
-    match Hashtbl.find_opt seen h with
-    | Some j -> (j, i)
-    | None ->
-      Hashtbl.add seen h i;
-      go (i + 1)
-  in
-  go 0
-
+(* Two [Int] tuples with equal [Tuple.hash] ({!Helpers.colliding_pair}):
+   their singleton bags share a fingerprint but are different states. *)
 let fingerprint_collision () =
   let i, j = colliding_pair () in
   let a = s i and b = s j in

@@ -115,9 +115,9 @@ let eval_cross_product () =
 
 let eval_literal_term_requires_no_base () =
   let t = R.Term.of_view (view_w ()) in
-  Alcotest.check_raises "literal_term rejects base slots"
-    (R.Eval.Eval_error "literal_term: term still references base relations")
-    (fun () -> ignore (R.Eval.literal_term t))
+  Alcotest.check_raises "literal_query rejects base slots"
+    (R.Eval.Eval_error "literal_query: term still references base relations")
+    (fun () -> ignore (R.Eval.literal_query [ t ]))
 
 (* ------------------------------------------------------------------ *)
 (* Reference-evaluator equivalence                                     *)

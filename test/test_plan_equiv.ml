@@ -121,32 +121,101 @@ let delta_equiv =
           agree db delta && agree (R.Db.apply ~strict:false db u) delta)
         updates)
 
-(* Substituting every source relation leaves only literal slots; the
-   warehouse evaluates those without a database at all. *)
+(* A literal-only term of [view], built the way compensation builds one:
+   every source substituted by a random inserted or deleted tuple, and
+   the whole term negated at random. Values come from a domain of four,
+   so some rows pass the join keys and filters and some fail them. *)
+let literal_term_gen (view : R.View.t) =
+  QCheck.Gen.(
+    let rec subst_all t = function
+      | [] -> return t
+      | (s : R.Schema.t) :: rest ->
+        let* row = list_size (return 2) (int_bound 3) in
+        let* insert = bool in
+        let tup = R.Tuple.ints row in
+        let u =
+          if insert then R.Update.insert s.R.Schema.name tup
+          else R.Update.delete s.R.Schema.name tup
+        in
+        subst_all (Option.get (R.Term.subst t u)) rest
+    in
+    let* t = subst_all (R.Term.of_view view) view.R.View.sources in
+    let* neg = bool in
+    return (if neg then R.Term.negate t else t))
+
+(* Runs of terms from two views, switching skeleton midway and back, so
+   the plan reused across a run must be looked up again at each switch. *)
+let arb_literal =
+  QCheck.make ~print:R.Query.to_string
+    QCheck.Gen.(
+      let* v1 = view_gen in
+      let* v2 = view_gen in
+      let* a = list_size (int_range 1 4) (literal_term_gen v1) in
+      let* b = list_size (int_range 1 4) (literal_term_gen v2) in
+      let* c = list_size (int_bound 3) (literal_term_gen v1) in
+      return (R.Query.of_terms (a @ b @ c)))
+
+(* The warehouse evaluates literal-only terms without a database. *)
 let literal_equiv =
   QCheck.Test.make ~name:"literal-only eval = naive reference" ~count:300
-    arb_setup (fun (view, db, updates) ->
-      ignore db;
-      let q =
-        List.fold_left
-          (fun q rel ->
-            let u =
-              match
-                List.find_opt
-                  (fun (u : R.Update.t) -> String.equal u.R.Update.rel rel)
-                  updates
-              with
-              | Some u -> u
-              | None -> R.Update.insert rel (R.Tuple.ints [ 1; 2 ])
-            in
-            R.Query.subst q u)
-          (R.Query.of_view view)
-          (List.map (fun (s : R.Schema.t) -> s.R.Schema.name)
-             view.R.View.sources)
-      in
-      List.for_all R.Term.is_all_literals (R.Query.terms q)
-      && R.Bag.equal (R.Eval.literal_query q)
-           (R.Eval.naive_query R.Db.empty q))
+    arb_literal (fun q ->
+      let naive = R.Eval.naive_query R.Db.empty q in
+      R.Bag.equal (R.Eval.literal_query q) naive
+      && R.Bag.equal (fst (R.Eval.split_local q)) naive
+      && List.for_all
+           (fun t ->
+             R.Bag.equal (R.Eval.literal_query [ t ])
+               (R.Eval.naive_term R.Db.empty t))
+           (R.Query.terms q))
+
+(* The one-row evaluator's cases, each pinned: a row that joins and
+   passes the filter, one that fails a join key, one that fails the
+   filter, negative literals and a negated term, on 3-slot terms with a
+   2-slot term of another skeleton in between. *)
+let literal_rows () =
+  let v3 =
+    R.View.natural_join ~name:"V3"
+      ~extra_cond:(R.Parser.parse_predicate "r1.W >= 2")
+      ~proj:[ R.Attr.unqualified "W" ] [ r1; r2; r3 ]
+  in
+  let v2 = view_w () in
+  let lit view us =
+    List.fold_left
+      (fun t u -> Option.get (R.Term.subst t u))
+      (R.Term.of_view view) us
+  in
+  let pass =
+    lit v3 [ ins "r1" [ 3; 1 ]; ins "r2" [ 1; 2 ]; ins "r3" [ 2; 5 ] ]
+  in
+  let join_fail =
+    lit v3 [ ins "r1" [ 3; 1 ]; ins "r2" [ 0; 2 ]; ins "r3" [ 2; 5 ] ]
+  in
+  let filter_fail =
+    lit v3 [ ins "r1" [ 1; 1 ]; ins "r2" [ 1; 2 ]; ins "r3" [ 2; 5 ] ]
+  in
+  let neg_lit =
+    lit v3 [ ins "r1" [ 4; 1 ]; del "r2" [ 1; 2 ]; ins "r3" [ 2; 5 ] ]
+  in
+  let other = lit v2 [ ins "r1" [ 7; 1 ]; del "r2" [ 1; 2 ] ] in
+  let q =
+    R.Query.of_terms
+      [ pass; join_fail; other; filter_fail; neg_lit; R.Term.negate pass;
+        R.Term.negate neg_lit; neg_lit ]
+  in
+  let expected =
+    R.Bag.add ~count:(-1) (R.Tuple.ints [ 7 ])
+      (R.Bag.add ~count:(-1) (R.Tuple.ints [ 4 ]) R.Bag.empty)
+  in
+  check_bag "one-row evaluation" expected (R.Eval.literal_query q);
+  check_bag "naive reference" expected (R.Eval.naive_query R.Db.empty q);
+  check_bag "split_local's local part" expected (fst (R.Eval.split_local q));
+  check_bag "a failed join yields nothing" R.Bag.empty
+    (R.Eval.literal_query [ join_fail ]);
+  check_bag "a failed filter yields nothing" R.Bag.empty
+    (R.Eval.literal_query [ filter_fail ]);
+  Alcotest.check_raises "a base slot is refused"
+    (R.Eval.Eval_error "literal_query: term still references base relations")
+    (fun () -> ignore (R.Eval.literal_query [ pass; R.Term.of_view v3 ]))
 
 (* The deterministic generator behind every benchmark figure. *)
 let workload_equiv () =
@@ -181,4 +250,8 @@ let workload_equiv () =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ view_equiv; delta_equiv; literal_equiv ]
-  @ [ Alcotest.test_case "workload instances" `Quick workload_equiv ]
+  @ [
+      Alcotest.test_case "workload instances" `Quick workload_equiv;
+      Alcotest.test_case "literal rows: join, filter, sign, skeleton" `Quick
+        literal_rows;
+    ]

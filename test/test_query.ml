@@ -167,6 +167,107 @@ let lemma_b2_full_view =
       let comp = R.Eval.query db' (R.Query.subst q u) in
       R.Bag.equal before (R.Bag.minus after comp))
 
+(* ------------------------------------------------------------------ *)
+(* One-pass compensation and split-then-simplify                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The compensation fold ECA used to build Q_i with, kept verbatim as the
+   reference for [Query.compensate]. *)
+let reference_compensate q u pending =
+  List.fold_left
+    (fun acc qj -> R.Query.minus acc (R.Query.subst qj u))
+    q pending
+
+let update_gen rels =
+  QCheck.Gen.(
+    let* rel = oneofl rels in
+    let* tuple = tuple2_gen 3 in
+    let* insert = bool in
+    return
+      (if insert then R.Update.insert rel tuple else R.Update.delete rel tuple))
+
+(* An unanswered-query set as ECA builds it: each update's compensated
+   query joins the set, with its literal-only terms split off or (as with
+   local evaluation off) kept. On the 3-relation view, compensation terms
+   keep a base slot and stay remote. *)
+let uqs_gen =
+  QCheck.Gen.(
+    let* three = bool in
+    let view = if three then view_w3 () else view_w () in
+    let rels = if three then [ "r1"; "r2"; "r3" ] else [ "r1"; "r2" ] in
+    let* keep_local = bool in
+    let* us = list_size (int_range 0 8) (update_gen rels) in
+    let pending =
+      List.fold_left
+        (fun pending u ->
+          let q = reference_compensate (R.Query.view_delta view u) u pending in
+          let q = if keep_local then q else snd (R.Query.split_local q) in
+          if R.Query.is_empty q then pending else pending @ [ q ])
+        [] us
+    in
+    let* u = update_gen rels in
+    return (view, pending, u))
+
+let print_uqs (view, pending, u) =
+  Format.asprintf "%s@.UQS:@.%a@.update %a" (R.View.to_string view)
+    (Format.pp_print_list R.Query.pp)
+    pending R.Update.pp u
+
+let compensate_matches_fold =
+  QCheck.Test.make ~name:"compensate = minus/subst fold, term for term"
+    ~count:500
+    (QCheck.make ~print:print_uqs uqs_gen)
+    (fun (view, pending, u) ->
+      let base = R.Query.view_delta view u in
+      let expected = reference_compensate base u pending in
+      (* ECA's batches fold two sources in turn: the UQS, then the
+         batch's own earlier remote parts *)
+      let n = List.length pending in
+      let older = List.filteri (fun i _ -> 2 * i < n) pending
+      and newer = List.filteri (fun i _ -> 2 * i >= n) pending in
+      let fold_both f acc (a, b) = List.fold_left f (List.fold_left f acc a) b in
+      R.Query.equal
+        (R.Query.compensate ~fold:List.fold_left base u pending)
+        expected
+      && R.Query.equal
+           (R.Query.compensate ~fold:fold_both base u (older, newer))
+           expected)
+
+(* A compensated query with T/-T pairs seeded in: copies of its own terms,
+   some negated, interleaved at random positions. *)
+let seeded_gen =
+  QCheck.Gen.(
+    let* view, pending, u = uqs_gen in
+    let q = reference_compensate (R.Query.view_delta view u) u pending in
+    let terms = R.Query.terms q in
+    let* extra =
+      if terms = [] then return []
+      else
+        list_size (int_bound 8)
+          (let* t = oneofl terms in
+           let* neg = bool in
+           return (if neg then R.Term.negate t else t))
+    in
+    let all = terms @ extra in
+    let* keys = list_size (return (List.length all)) (int_bound 1000) in
+    let shuffled =
+      List.map snd
+        (List.stable_sort
+           (fun (a, _) (b, _) -> Int.compare a b)
+           (List.combine keys all))
+    in
+    return (R.Query.of_terms shuffled))
+
+let split_then_simplify =
+  QCheck.Test.make ~name:"split then simplify = simplify then split"
+    ~count:500
+    (QCheck.make ~print:R.Query.to_string seeded_gen)
+    (fun q ->
+      let local, remote = R.Eval.split_local q in
+      let local', remote' = R.Query.split_local (R.Query.simplify q) in
+      R.Query.equal remote remote'
+      && R.Bag.equal local (R.Eval.naive_query R.Db.empty local'))
+
 let suite =
   [
     Alcotest.test_case "subst replaces the relation slot" `Quick
@@ -188,4 +289,10 @@ let suite =
       query_byte_size_grows_with_terms;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ lemma_b2; lemma_b2_full_view; simplify_preserves_value ]
+      [
+        lemma_b2;
+        lemma_b2_full_view;
+        simplify_preserves_value;
+        compensate_matches_fold;
+        split_then_simplify;
+      ]

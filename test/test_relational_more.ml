@@ -199,9 +199,27 @@ let attr_ordering () =
   check_int "equal attrs" 0
     (R.Attr.compare (R.Attr.qualified "r1" "W") (R.Attr.of_string "r1.W"))
 
+(* [Fqueue.remove_first]: the oldest matching element goes, the rest
+   keep their order, whether the match is the head (the FIFO-answer fast
+   path), sits in the middle, or is absent. *)
+let fqueue_remove_first () =
+  let q = List.fold_left R.Fqueue.push R.Fqueue.empty [ 1; 2; 3; 2; 4 ] in
+  let ints = Alcotest.(list int) in
+  let after p = R.Fqueue.to_list (R.Fqueue.remove_first p q) in
+  Alcotest.check ints "head" [ 2; 3; 2; 4 ] (after (fun x -> x = 1));
+  Alcotest.check ints "oldest of two matches" [ 1; 3; 2; 4 ]
+    (after (fun x -> x = 2));
+  Alcotest.check ints "newest" [ 1; 2; 3; 2 ] (after (fun x -> x = 4));
+  Alcotest.check ints "absent" [ 1; 2; 3; 2; 4 ] (after (fun x -> x = 9));
+  check_int "length follows" 4
+    (R.Fqueue.length (R.Fqueue.remove_first (fun x -> x = 3) q));
+  check_bool "empty stays empty" true
+    (R.Fqueue.is_empty (R.Fqueue.remove_first (fun _ -> true) R.Fqueue.empty))
+
 let suite =
   [
     Alcotest.test_case "sign tables" `Quick sign_tables;
+    Alcotest.test_case "fqueue remove_first" `Quick fqueue_remove_first;
     Alcotest.test_case "comparison operators" `Quick cmp_holds_all;
     Alcotest.test_case "predicate nesting" `Quick predicate_nesting;
     Alcotest.test_case "bag map/filter" `Quick bag_map_filter;
